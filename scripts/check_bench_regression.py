@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark regression gate: fresh BENCH_results.json vs a baseline.
 
-Compares the tracked benchmark families (``fig8_*``, ``fig10_*`` and
-``lift_cache/*`` by default) between a baseline results file (the committed BENCH_results.json,
-copied aside before the benchmark run) and the freshly written one, and
-fails when any benchmark regressed by more than the threshold (30%).
+Compares the tracked benchmark families (``fig8_*``, ``fig10_*``,
+``fig11_*`` and ``lift_cache/*`` by default) between a baseline results file
+(the committed ``BENCH_results.json``) and the one the benchmark run just
+wrote (``.benchmarks/BENCH_results.json``), and fails when any benchmark
+regressed by more than the threshold (30%).
 
 Because CI runners differ in absolute speed from the machine that produced
 the committed baseline, ratios are **calibrated**: the median fresh/baseline
@@ -18,9 +19,9 @@ below that the gate warns and compares raw (uncalibrated) ratios.
 
 Usage::
 
-    cp BENCH_results.json /tmp/bench_baseline.json
     PYTHONPATH=src python -m pytest benchmarks/... -q
-    python scripts/check_bench_regression.py --baseline /tmp/bench_baseline.json
+    python scripts/check_bench_regression.py --baseline BENCH_results.json \
+        --fresh .benchmarks/BENCH_results.json
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="baseline results file (committed numbers)")
     parser.add_argument("--fresh", type=Path,
                         default=Path(__file__).resolve().parent.parent
-                        / "BENCH_results.json",
-                        help="freshly measured results (default: repo root)")
+                        / ".benchmarks" / "BENCH_results.json",
+                        help="freshly measured results (default: "
+                             ".benchmarks/BENCH_results.json)")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="allowed slowdown beyond the machine factor "
                              "(default 0.30 = 30%%)")

@@ -128,6 +128,10 @@ def cmd_run(args) -> int:
 
     session = _session_from_args(args)
     result = session.run()
+    tile = _parse_tile(args.tile)
+    if tile is not None:
+        for func in result.funcs.values():
+            func.tile(*tile)
     frame = _frames_for(args.app, args.width, args.height, 1)[0]
     start = time.perf_counter()
     if args.app == "photoshop":
@@ -148,7 +152,7 @@ def cmd_run(args) -> int:
     print(f"instrumented runs this invocation: "
           f"{session.stats()['instrumented_runs']}")
     if args.explain:
-        _explain_kernels(result, frame, tile=args.tile)
+        _explain_kernels(result)
     return 0
 
 
@@ -161,63 +165,29 @@ def _parse_tile(tile: str | None) -> tuple[int, int] | None:
     return (int(parts[0]), int(parts[1]))
 
 
-def _explain_kernels(result, frame, tile: str | None = None) -> None:
-    """Print each lifted kernel's schedule plus its lowered loop nest.
+def _explain_kernels(result) -> None:
+    """Print each lifted kernel's schedule and the loop nest the run executed.
 
-    The schedule/mode lines describe what the ``run`` above actually
-    executed; the loop nest shows each kernel lowered standalone at
-    ``compute_root`` (with ``--tile`` applied), since a single lifted kernel
-    has no producers to place — multi-stage placement is a pipeline-level
-    decision (see ``FuncPipeline.describe``).  Reduction kernels print
-    their init / update / merge phases instead (``tile``'s height doubles
-    as the RDom strip granularity of a parallel schedule).
+    The nests are the ones :func:`repro.halide.realize.realize` lowered for
+    the run above (``lower_func``, at the run's real output and source
+    shapes) — the plan that actually ran, pure and reduction Funcs alike.
     """
-    from dataclasses import replace
-    from .halide.lower import PipelineLoweringError, lower_reduction_func
-    from .halide.pipeline import FuncPipeline
+    from .halide.realize import executed_nests
 
-    tile_wh = _parse_tile(tile)
     print("\nexecution plan:")
     for name in sorted(result.funcs):
         func = result.funcs[name]
         print(f"  {name}: schedule [{func.schedule.describe()}], "
               f"mode {func.execution_mode()}")
-        schedule = replace(func.schedule, compute="root")
-        if tile_wh is not None:
-            schedule.tile_x, schedule.tile_y = tile_wh
-        explain_func = replace(func, schedule=schedule)
-        if func.reduction is not None:
-            from .rejuvenation.lifted import reduction_output_shape
-
-            kernel = next((k for k in result.kernels if k.output == name),
-                          None)
-            if kernel is not None:
-                out_shape = tuple(reversed(reduction_output_shape(
-                    result, kernel, np.asarray(frame).shape)))
-            else:
-                spec = result.buffer_specs.get(name)
-                out_shape = tuple(reversed(spec.extents)) \
-                    if spec is not None else (1,) * len(func.variables)
-            strip = explain_func.reduction_strip_rows()
-            print(f"    lowered reduction (init/update/merge, "
-                  f"{strip}-row strips when parallel):")
-            nest = lower_reduction_func(explain_func, out_shape,
-                                        np.asarray(frame).shape)
+        nests = executed_nests(func)
+        if not nests:
+            print("    (not realized by this run)")
+        for out_shape, source_shape, nest in nests:
+            source = "" if source_shape is None \
+                else f", source {list(source_shape)}"
+            print(f"    loop nest over output {list(out_shape)}{source}:")
             for line in nest.pretty().splitlines():
-                print(f"    {line}")
-            continue
-        pipeline = FuncPipeline().add(explain_func, name=name)
-        print("    standalone lowering (compute_root"
-              + (f", tile {tile_wh[0]}x{tile_wh[1]}" if tile_wh else "")
-              + "):")
-        try:
-            plan = pipeline.describe(np.asarray(frame).shape)
-        except PipelineLoweringError as error:
-            print(f"    (no lowered form: {error})")
-            continue
-        for line in plan.splitlines():
-            print(f"    {line}")
-    return None
+                print(f"      {line}")
 
 
 def cmd_serve(args) -> int:
@@ -417,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--explain", action="store_true",
                      help="print each kernel's schedule and lowered loop nest")
     run.add_argument("--tile", default=None, metavar="WxH",
-                     help="tile size for the --explain loop nest (e.g. 128x64)")
+                     help="tile every lifted kernel for this run (e.g. "
+                          "128x64; a reduction's RDom strip height is H)")
     run.set_defaults(fn=cmd_run)
 
     serve = commands.add_parser(

@@ -4,8 +4,9 @@ The real Halide is not available offline, so this package provides the pieces
 the lifted code needs — ``Var``, ``Func``, ``ImageParam``, ``RDom``, ``cast``
 and ``select`` — together with two NumPy *realization engines*: a tree-walking
 interpreter (the oracle) and a compiled backend that lowers each function to a
-fused, CSE'd kernel, compiles it once and caches it.  On top of the compiled
-engine sit two throughput layers: tiled schedules marked ``parallel`` execute
+fused, CSE'd kernel, compiles it once and caches it.  Every engine runs a
+Func's schedule through the same lowered loop nest on one executor, and two
+throughput layers sit on top: tiled schedules marked ``parallel`` execute
 their tiles across a shared worker pool (:mod:`repro.halide.parallel`), and a
 batched realization service (:class:`PipelineServer` / :func:`realize_batch`)
 compiles a pipeline once and serves many frames concurrently with bounded
@@ -25,6 +26,7 @@ from .lower import (
     LoweredPipeline,
     PipelineLoweringError,
     StageDecision,
+    lower_func,
     lower_pipeline,
 )
 from .compile import (
@@ -81,4 +83,4 @@ __all__ = ["Func", "ImageParam", "RDom", "Schedule", "Var", "realize",
            "BatchResult", "PipelineServer", "realize_batch",
            "Backend", "backend_names", "get_backend",
            "LoweredPipeline", "PipelineLoweringError", "StageDecision",
-           "lower_pipeline"]
+           "lower_func", "lower_pipeline"]

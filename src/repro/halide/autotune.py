@@ -5,9 +5,9 @@ producers are fused, vectorization and — since the multicore executor — tile
 parallelism.  Candidates are no longer all wall-clock-timed: the sampled set
 is ranked analytically by :mod:`repro.halide.costmodel` (features from the
 lowering's own :class:`StageDecision` metadata) and only the baseline plus
-the top-k survivors are timed live.  Schedules are part of the compiled
-backend's kernel cache key, so re-evaluating a schedule (and the final run
-with the winner) pays codegen only on first sight.
+the top-k survivors are timed live.  Kernels are schedule-free, so every
+candidate reuses the one compiled kernel; a new schedule only re-lowers its
+loop nest, once.
 
 Parallel candidates are sampled against the *live* pool configuration: when
 the pool cannot honour parallelism (single worker, or the kill switch), the
@@ -108,8 +108,8 @@ def _time_schedule(func: Func, shape, buffers, params, engine,
     best = float("inf")
     tuner_stats["timed_evaluations"] += 1
     for _ in range(repeats):
-        # The first repeat may include one-time codegen for a fresh schedule;
-        # taking the minimum keeps the steady-state cost.
+        # The first repeat may include one-time codegen and lowering for a
+        # fresh schedule; taking the minimum keeps the steady-state cost.
         start = time.perf_counter()
         realize(func, shape, buffers, params, engine=engine)
         best = min(best, time.perf_counter() - start)

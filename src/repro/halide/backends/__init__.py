@@ -2,13 +2,15 @@
 
 Every engine — the tree-walking interpreter (the bit-exactness oracle),
 the compiled fused-NumPy engine, and the native whole-nest C engine —
-implements :class:`Backend`: whole-Func realization plus a region
-evaluator, which is the primitive the shared lowered-IR executor
-(:meth:`Backend.execute`) calls for every :class:`~repro.ir.stmt.Store`
-in a lowered pipeline.  All backends are therefore *consumers of the same
-lowered loop nest*: scheduling decisions (compute_root / compute_at,
-tiling, parallel tiles, vectorize) live in the
-:class:`~repro.halide.lower.LoweredPipeline`, not in the engines.
+implements :class:`Backend`: a region evaluator and a reduction sweep,
+the primitives the one shared loop-nest executor (:meth:`Backend.run`)
+calls for every :class:`~repro.ir.stmt.Store` and
+:class:`~repro.ir.stmt.ReduceLoop`, whether the nest is a lowered pipeline
+(:meth:`Backend.execute`) or a single Func
+(:func:`repro.halide.realize.realize`).  All backends are therefore
+*consumers of the same lowered loop nest*: scheduling decisions
+(compute_root / compute_at, tiling, parallel tiles, vectorize) live in the
+nest, not in the engines.
 
 The native backend (:mod:`.native` + :mod:`.cgen`) demonstrates the plug
 point for ahead-of-time codegen: it overrides :meth:`Backend.execute` to

@@ -1,26 +1,31 @@
-"""The backend interface and the shared lowered-IR executor.
+"""The backend interface and the shared loop-nest executor.
 
-A backend supplies two primitives:
+A backend supplies the two primitives a lowered loop nest needs:
 
-* :meth:`Backend.realize_func` — whole-Func realization (the legacy entry
-  point used by :func:`repro.halide.realize.realize`, including reductions);
 * :meth:`Backend.evaluate_region` — evaluate a *pure* Func vectorized over
-  one rectangular region (NumPy axis order), the primitive behind every
-  lowered :class:`~repro.ir.stmt.Store`.
+  one rectangular region (NumPy axis order) into a destination view, the
+  primitive behind every :class:`~repro.ir.stmt.Store`;
+* :meth:`Backend.reduce_region` — apply a Func's reduction update over one
+  RDom sub-region in place, the primitive behind every
+  :class:`~repro.ir.stmt.ReduceLoop`.
 
-Everything else about executing a lowered pipeline — walking the loop nest,
-allocating scratch buffers, branching between interior and border stores,
-edge-replicating ghost zones, fanning parallel loops out across the shared
-worker pool — is backend-independent and lives in :meth:`Backend.execute`.
-That keeps the engines honest: the interpreter and the compiled engine run
-the *same* loop nest with the same bounds, so a differential test that
-compares them exercises the lowering itself, not two unrelated schedules.
+Both are resolved once per Func through :meth:`Backend.kernels`.
+Everything else — walking the loop nest, allocating scratch buffers,
+branching between interior and border stores, edge-replicating ghost
+zones, fanning parallel loops out across the shared worker pool and
+retrying a transiently failed iteration — is backend-independent and lives
+in :meth:`Backend.run`, which both :meth:`Backend.execute` (a lowered
+pipeline on one frame) and :func:`repro.halide.realize.realize` (one Func's
+:func:`~repro.halide.lower.lower_func` nest) call.  That keeps the engines
+honest: every engine runs the *same* loop nest with the same bounds, so a
+differential test that compares them exercises the schedule itself, not two
+unrelated executors.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -39,71 +44,119 @@ from ...ir import (
     Store,
 )
 from ...ir import BinOp, Const, Op, Param, UnOp, Var
-from ..parallel import choose_tile_executor, record_execution, submit_task
+from ...reliability.faults import fault_point
+from ...reliability.policy import TransientExecutionError
+from ..parallel import (
+    choose_tile_executor,
+    maybe_kill_pool,
+    record_execution,
+    submit_task,
+)
 from ..realize import RealizationError, _evaluate
 
-_SCALAR_OPS = {
-    Op.ADD: lambda a, b: a + b,
-    Op.SUB: lambda a, b: a - b,
-    Op.MUL: lambda a, b: a * b,
-    Op.MIN: min,
-    Op.MAX: max,
-    Op.AND: lambda a, b: a & b,
-    Op.OR: lambda a, b: a | b,
-    Op.LT: lambda a, b: int(a < b),
-    Op.LE: lambda a, b: int(a <= b),
-    Op.GT: lambda a, b: int(a > b),
-    Op.GE: lambda a, b: int(a >= b),
-    Op.EQ: lambda a, b: int(a == b),
-    Op.NE: lambda a, b: int(a != b),
+#: Python source for the scalar vocabulary the lowering builds bounds from
+#: (Const/Var/Param and these operators).
+_SCALAR_SOURCE = {
+    Op.ADD: "({} + {})", Op.SUB: "({} - {})", Op.MUL: "({} * {})",
+    Op.MIN: "min({}, {})", Op.MAX: "max({}, {})",
+    Op.AND: "({} & {})", Op.OR: "({} | {})",
+    Op.LT: "int({} < {})", Op.LE: "int({} <= {})", Op.GT: "int({} > {})",
+    Op.GE: "int({} >= {})", Op.EQ: "int({} == {})", Op.NE: "int({} != {})",
 }
 
 
-def _scalar_expr(expr, env: Mapping, params: Mapping) -> int:
-    """Fast integer evaluation of loop-nest scalar expressions.
-
-    The lowering builds bounds from Const/Var/Param and
-    add/sub/mul/min/max/comparison nodes; evaluating them through the
-    vectorized interpreter would allocate a NumPy array per node, which
-    dominates small-tile execution.  Anything outside that vocabulary falls
-    back to the interpreter for full generality.
-    """
-    kind = type(expr)
+def _scalar_source(value) -> Optional[str]:
+    """Python source computing one scalar from ``env``/``params``, or None
+    when it falls outside :data:`_SCALAR_SOURCE`'s vocabulary."""
+    if isinstance(value, int):
+        return repr(value)
+    kind = type(value)
     if kind is Const:
-        return int(expr.value)
+        return repr(int(value.value))
     if kind is Var:
-        value = env.get(expr.name)
-        if value is None:
-            raise RealizationError(f"unbound loop variable {expr.name}")
-        return int(value)
+        return f"env[{value.name!r}]"
     if kind is Param:
-        return int(params.get(expr.name, expr.value))
-    if kind is BinOp:
-        fn = _SCALAR_OPS.get(expr.op)
-        if fn is not None:
-            return fn(_scalar_expr(expr.a, env, params),
-                      _scalar_expr(expr.b, env, params))
-    if kind is UnOp and expr.op == Op.NEG:
-        return -_scalar_expr(expr.a, env, params)
-    return int(_evaluate(expr, env, {}, params))
+        return f"int(params.get({value.name!r}, {int(value.value)!r}))"
+    if kind is BinOp and value.op in _SCALAR_SOURCE:
+        a, b = _scalar_source(value.a), _scalar_source(value.b)
+        if a is not None and b is not None:
+            return _SCALAR_SOURCE[value.op].format(a, b)
+    if kind is UnOp and value.op == Op.NEG:
+        a = _scalar_source(value.a)
+        if a is not None:
+            return f"(-{a})"
+    return None
+
+
+def _compile_scalars(values) -> Callable[[Mapping, Mapping], tuple]:
+    """``fn(env, params)`` evaluating a tuple of loop-nest scalars.
+
+    Loop bounds, region origins/extents and branch conditions are evaluated
+    per tile; walking their expression trees (let alone the vectorized
+    interpreter, which allocates a NumPy array per node) would dominate
+    small-tile execution, so each node's positions compile once to one
+    Python function.  Anything outside the vocabulary evaluates through the
+    interpreter.
+    """
+    namespace = {"RealizationError": RealizationError, "_evaluate": _evaluate}
+    sources = []
+    for index, value in enumerate(values):
+        source = _scalar_source(value)
+        if source is None:
+            namespace[f"_e{index}"] = value
+            source = f"int(_evaluate(_e{index}, env, {{}}, params))"
+        sources.append(source + ", ")
+    exec("def fn(env, params):\n"
+         "    try:\n"
+         f"        return ({''.join(sources)})\n"
+         "    except KeyError as exc:\n"
+         "        raise RealizationError(\n"
+         "            f'unbound loop variable {exc.args[0]}') from None\n",
+         namespace)
+    return namespace["fn"]
+
+
+def _node_scalars(stmt, values) -> Callable[[Mapping, Mapping], tuple]:
+    """:func:`_compile_scalars` of one node's positions, memoized on it."""
+    fn = stmt.cache.get("scalars")
+    if fn is None:
+        fn = stmt.cache["scalars"] = _compile_scalars(values)
+    return fn
 
 
 class _ExecState:
-    """Per-execution bookkeeping shared by the Stmt walkers."""
+    """Per-execution bookkeeping shared by the Stmt walkers.
 
-    __slots__ = ("params", "stats", "frame_shape", "lock")
+    ``kernels`` is the ``(evaluate, reduce)`` pair of a single-Func nest,
+    resolved once for the call (every node of such a nest executes that one
+    Func); None for pipelines, whose nodes memoize their own.  ``stats`` is
+    None when the caller asked for no counters.  ``faults`` is False on the
+    interpreter's frames, which fire no fault site: serving degrades to
+    them.
+    """
 
-    def __init__(self, params: dict, stats: dict, frame_shape: tuple) -> None:
+    __slots__ = ("params", "stats", "frame_shape", "lock", "kernels",
+                 "faults")
+
+    def __init__(self, params: dict, stats: Optional[dict],
+                 frame_shape: tuple, kernels: Optional[tuple] = None,
+                 faults: bool = True) -> None:
         self.params = params
         self.stats = stats
         self.frame_shape = frame_shape
-        self.lock = threading.Lock()
+        self.lock = threading.Lock() if stats is not None else None
+        self.kernels = kernels
+        self.faults = faults
 
     def tally(self, key: str, amount: int = 1) -> None:
+        if self.stats is None:
+            return
         with self.lock:
             self.stats[key] = self.stats.get(key, 0) + amount
 
     def track_scratch(self, name: str, shape: tuple[int, ...]) -> None:
+        if self.stats is None:
+            return
         with self.lock:
             elems = 1
             for extent in shape:
@@ -118,31 +171,117 @@ class _ExecState:
 
 
 def _scalar(value, env: Mapping, params: Mapping) -> int:
-    """Evaluate a loop-nest scalar (int, or Expr over loop vars/params)."""
+    """Evaluate a scalar outside the node memos: For bounds, Allocate
+    extents, reduction target and merge indices.
+
+    The lowering builds these as plain ints or loop variables (region
+    extents are bound through Lets); anything else evaluates through the
+    interpreter.
+    """
     if isinstance(value, int):
         return value
-    return _scalar_expr(value, env, params)
+    if type(value) is Var:
+        try:
+            return env[value.name]
+        except KeyError:
+            raise RealizationError(
+                f"unbound loop variable {value.name}") from None
+    return int(_evaluate(value, env, {}, params))
+
+
+def _attempt(run_one, index: int, faults: bool) -> None:
+    """One iteration of a parallel loop: the ``tile.execute`` fault site."""
+    if faults:
+        fault_point("tile.execute")
+    run_one(index)
+
+
+def _reset_partials(body: Stmt, env: Mapping, buffers: Mapping,
+                    params: Mapping) -> None:
+    """Zero the private partial slabs one loop iteration accumulates into.
+
+    Accumulation is not idempotent, so a retried reduction strip must
+    restart its partial from zero; stores overwrite and need nothing.
+    """
+    for node in body.walk():
+        if isinstance(node, ReduceLoop) and node.target_index is not None:
+            buffers[node.buffer][_scalar(node.target_index, env, params)] = 0
+
+
+def run_parallel_loop(stmt: For, env: Mapping, buffers: Mapping,
+                      state: _ExecState, start: int, count: int,
+                      run_one) -> None:
+    """Run every iteration of a ``parallel`` For; ``run_one(index)`` runs one.
+
+    Iterations write disjoint regions (the lowering's contract), so the cost
+    heuristic may fan them out across the shared pool in any order.  Each
+    iteration fires ``tile.execute``; ``pool.die`` fires before a fan-out
+    (neither on the interpreter's frames).  An iteration that fails
+    transiently is retried once, serially, after every other iteration has
+    run — so a seeded fault plan fires the same schedule on every run —
+    with its private reduction partials reset.
+    """
+    fan_out = choose_tile_executor(state.frame_shape, count)
+    indices = range(start, start + count)
+    faults = state.faults
+    failed = []
+    if fan_out:
+        if faults:
+            maybe_kill_pool()
+        futures = [submit_task(_attempt, run_one, index, faults)
+                   for index in indices]
+        for index, future in zip(indices, futures):
+            try:
+                future.result()
+            except TransientExecutionError as exc:
+                failed.append((index, exc))
+    else:
+        for index in indices:
+            try:
+                _attempt(run_one, index, faults)
+            except TransientExecutionError as exc:
+                failed.append((index, exc))
+    for index, error in failed:
+        _reset_partials(stmt.body, {**env, stmt.name: index}, buffers,
+                        state.params)
+        try:
+            _attempt(run_one, index, faults)
+        except TransientExecutionError as exc:
+            raise exc from error
+    record_execution(fan_out, count, retries=len(failed))
+    state.tally("parallel_loops" if fan_out else "serial_loops")
 
 
 class Backend:
     """Interface every execution engine implements."""
 
     name: str = ""
+    #: Fault site fired once per frame :meth:`run` executes — None for the
+    #: interpreter, the oracle every failure degrades to, whose frames then
+    #: fire no ``tile.execute``/``pool.die`` either.
+    frame_fault_site: Optional[str] = "kernel.execute"
 
     # -- primitives ----------------------------------------------------------
 
-    def realize_func(self, func, shape: tuple[int, ...],
-                     buffers: Mapping[str, np.ndarray],
-                     params: Mapping[str, float]) -> np.ndarray:
-        """Realize one Func over its output domain (innermost-first shape)."""
+    def kernels(self, func) -> tuple:
+        """``(evaluate, reduce)`` for one Func, resolved once.
+
+        ``evaluate(origin, extent, buffers, params, out)`` writes the pure
+        value over one region into ``out``; ``reduce(out, origin, extent,
+        buffers, params)`` applies the reduction update over one RDom
+        sub-region in place.  The executor memoizes the pair on each node
+        (or once per call for a single-Func nest).
+        """
         raise NotImplementedError
 
     def evaluate_region(self, func, origin: tuple[int, ...],
                         extent: tuple[int, ...],
                         buffers: Mapping[str, np.ndarray],
-                        params: Mapping[str, float]) -> np.ndarray:
-        """Evaluate a pure Func over one region (NumPy axis order)."""
-        raise NotImplementedError
+                        params: Mapping[str, float],
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Evaluate a pure Func over one region (NumPy axis order) into
+        ``out`` (allocated when None); returns it."""
+        return self.kernels(func)[0](origin, extent, buffers, params, out)
 
     def reduce_region(self, func, out: np.ndarray, origin: tuple[int, ...],
                       extent: tuple[int, ...],
@@ -152,32 +291,11 @@ class Backend:
 
         ``origin``/``extent`` restrict the sweep to a rectangle of the
         reduction source (NumPy axis order, global coordinates); the update
-        mutates ``out`` in place.  The primitive behind every lowered
-        :class:`~repro.ir.stmt.ReduceLoop`.
+        mutates ``out`` in place.
         """
-        raise NotImplementedError
+        return self.kernels(func)[1](out, origin, extent, buffers, params)
 
-    def region_evaluator(self, func):
-        """A reusable ``fn(origin, extent, buffers, params)`` for one Func.
-
-        Backends that pay a per-call lookup (the compiled kernel cache key)
-        override this to resolve it once; the executor memoizes the result
-        on each Store node.
-        """
-        def evaluate(origin, extent, buffers, params):
-            return self.evaluate_region(func, origin, extent, buffers, params)
-        return evaluate
-
-    def region_reducer(self, func):
-        """A reusable ``fn(out, origin, extent, buffers, params)`` for one
-        reduction Func (the :meth:`region_evaluator` analogue for
-        :class:`~repro.ir.stmt.ReduceLoop` nodes)."""
-        def reduce(out, origin, extent, buffers, params):
-            return self.reduce_region(func, out, origin, extent, buffers,
-                                      params)
-        return reduce
-
-    # -- lowered-IR execution ------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
     def execute(self, lowered, image: np.ndarray,
                 params: Mapping[str, float] | None = None,
@@ -194,24 +312,53 @@ class Backend:
             raise RealizationError(
                 f"lowered pipeline expects frame {lowered.frame_shape}, "
                 f"got {frame.shape}")
-        buffers: dict[str, np.ndarray] = {lowered.input_name: frame}
         output = np.empty(lowered.frame_shape,
                           dtype=lowered.out_dtype.to_numpy())
-        buffers[lowered.output] = output
-        state = _ExecState(params=dict(params or {}),
-                           stats=stats if stats is not None else {},
-                           frame_shape=lowered.frame_shape)
-        self._exec(lowered.stmt, {}, buffers, state)
+        buffers = {lowered.input_name: frame, lowered.output: output}
+        self.run(lowered.stmt, buffers, params, stats, lowered.frame_shape)
         return output
+
+    def run(self, stmt: Stmt, buffers: dict,
+            params: Mapping[str, float] | None = None,
+            stats: Optional[dict] = None, frame_shape: tuple = (),
+            kernels: Optional[tuple] = None) -> None:
+        """Execute one frame's loop nest over bound ``buffers`` in place.
+
+        The one executor behind :meth:`execute` and
+        :func:`repro.halide.realize.realize`.  ``frame_shape`` sizes the
+        parallel cost heuristic; ``kernels`` is the per-call
+        :meth:`kernels` pair of a single-Func nest.
+        """
+        faults = self.frame_fault_site is not None
+        if faults:
+            fault_point(self.frame_fault_site)
+        state = _ExecState(params=dict(params or {}), stats=stats,
+                           frame_shape=tuple(frame_shape), kernels=kernels,
+                           faults=faults)
+        self._exec(stmt, {}, buffers, state)
+
+    def _node_kernels(self, stmt, state: _ExecState) -> tuple:
+        """The :meth:`kernels` pair a Store/ReduceLoop executes."""
+        if state.kernels is not None:
+            return state.kernels
+        kernels = stmt.cache.get(self.name)
+        if kernels is None:
+            kernels = self.kernels(stmt.func)
+            stmt.cache[self.name] = kernels
+        return kernels
 
     def _exec(self, stmt: Stmt, env: dict, buffers: dict,
               state: _ExecState) -> None:
+        if isinstance(stmt, Store):
+            self._exec_store(stmt, env, buffers, state)
+            return
         if isinstance(stmt, Block):
             for inner in stmt.stmts:
                 self._exec(inner, env, buffers, state)
             return
         if isinstance(stmt, Let):
-            env[stmt.name] = _scalar(stmt.value, env, state.params)
+            value = _node_scalars(stmt, (stmt.value,))(env, state.params)
+            env[stmt.name] = value[0]
             self._exec(stmt.body, env, buffers, state)
             return
         if isinstance(stmt, For):
@@ -236,13 +383,11 @@ class Backend:
             self._exec(stmt.consume, env, buffers, state)
             return
         if isinstance(stmt, IfThenElse):
-            if _scalar(stmt.condition, env, state.params) != 0:
+            condition = _node_scalars(stmt, (stmt.condition,))
+            if condition(env, state.params)[0] != 0:
                 self._exec(stmt.then_case, env, buffers, state)
             elif stmt.else_case is not None:
                 self._exec(stmt.else_case, env, buffers, state)
-            return
-        if isinstance(stmt, Store):
-            self._exec_store(stmt, env, buffers, state)
             return
         if isinstance(stmt, ReduceLoop):
             self._exec_reduce(stmt, env, buffers, state)
@@ -262,24 +407,16 @@ class Backend:
         if count <= 0:
             return
         if stmt.kind == "parallel":
-            # Iterations write disjoint regions (the lowering's contract),
-            # so fan-out order cannot change results.  Each iteration gets
-            # its own buffer scope: scratch allocated inside the loop body
-            # stays thread-private, while the shared full-frame arrays are
-            # reached through the same references.
-            if choose_tile_executor(state.frame_shape, count):
-                futures = [
-                    submit_task(self._exec, stmt.body,
-                                {**env, stmt.name: start + index},
-                                dict(buffers), state)
-                    for index in range(count)]
-                for future in futures:
-                    future.result()
-                record_execution(True, count)
-                state.tally("parallel_loops")
-                return
-            record_execution(False, count)
-            state.tally("serial_loops")
+            # Each iteration gets its own buffer scope: scratch allocated
+            # inside the loop body stays thread-private, while the shared
+            # full-frame arrays are reached through the same references.
+            def run_one(index: int) -> None:
+                self._exec(stmt.body, {**env, stmt.name: index},
+                           dict(buffers), state)
+
+            run_parallel_loop(stmt, env, buffers, state, start, count,
+                              run_one)
+            return
         iter_env = dict(env)
         for index in range(count):
             iter_env[stmt.name] = start + index
@@ -287,27 +424,36 @@ class Backend:
 
     def _exec_store(self, stmt: Store, env: dict, buffers: dict,
                     state: _ExecState) -> None:
+        rank = len(stmt.extent)
+        values = _node_scalars(stmt, stmt.extent + stmt.offset + stmt.eval_origin
+                               + tuple(stmt.param_exprs.values()))(
+            env, state.params)
+        extent = values[:rank]
+        offset = values[rank:2 * rank]
+        eval_origin = values[2 * rank:3 * rank]
         params = state.params
         if stmt.param_exprs:
             params = dict(params)
-            for name, value in stmt.param_exprs.items():
-                params[name] = _scalar(value, env, state.params)
-        offset = tuple(_scalar(o, env, state.params) for o in stmt.offset)
-        extent = tuple(_scalar(e, env, state.params) for e in stmt.extent)
-        if any(e <= 0 for e in extent):
-            return
-        eval_origin = tuple(_scalar(o, env, state.params)
-                            for o in stmt.eval_origin)
-        evaluate = stmt.cache.get(self.name)
-        if evaluate is None:
-            evaluate = self.region_evaluator(stmt.func)
-            stmt.cache[self.name] = evaluate
-        block = evaluate(eval_origin, extent, buffers, params)
+            params.update(zip(stmt.param_exprs, values[3 * rank:]))
+        evaluate = self._node_kernels(stmt, state)[0]
         target = buffers.get(stmt.buffer)
         if target is None:
-            raise RealizationError(f"no buffer {stmt.buffer} to store into")
-        region = tuple(slice(o, o + e) for o, e in zip(offset, extent))
-        target[region] = block
+            # A store into a buffer nothing has bound yet materializes it
+            # (the whole output of an untiled Func's nest): the evaluator
+            # allocates it after its own temporaries, as a NumPy expression
+            # would, instead of the caller allocating it up front.
+            if any(offset) or any(e < 0 for e in extent):
+                raise RealizationError(f"no buffer {stmt.buffer} to store into")
+            buffers[stmt.buffer] = evaluate(eval_origin, extent, buffers,
+                                            params, None)
+        elif any(e <= 0 for e in extent):
+            return
+        else:
+            # The evaluator writes straight into the destination view (a 0-d
+            # target is viewed whole: indexing it with () would copy).
+            region = tuple(slice(o, o + e) for o, e in zip(offset, extent))
+            evaluate(eval_origin, extent, buffers, params,
+                     target[region or ...])
         state.tally("stores")
 
     def _exec_reduce(self, stmt: ReduceLoop, env: dict, buffers: dict,
@@ -317,16 +463,13 @@ class Backend:
             raise RealizationError(f"no buffer {stmt.buffer} to reduce into")
         if stmt.target_index is not None:
             target = target[_scalar(stmt.target_index, env, state.params)]
-        origin = tuple(_scalar(o, env, state.params)
-                       for o in stmt.source_origin)
-        extent = tuple(_scalar(e, env, state.params)
-                       for e in stmt.source_extent)
+        rank = len(stmt.source_origin)
+        values = _node_scalars(stmt, stmt.source_origin + stmt.source_extent)(
+            env, state.params)
+        origin, extent = values[:rank], values[rank:]
         if any(e <= 0 for e in extent):
             return
-        reduce = stmt.cache.get(self.name)
-        if reduce is None:
-            reduce = self.region_reducer(stmt.func)
-            stmt.cache[self.name] = reduce
+        reduce = self._node_kernels(stmt, state)[1]
         reduce(target, origin, extent, buffers, state.params)
         state.tally("reduce_sweeps")
 
@@ -346,8 +489,9 @@ class Backend:
         array = buffers.get(stmt.buffer)
         if array is None:
             raise RealizationError(f"no buffer {stmt.buffer} to pad")
-        offset = [_scalar(o, env, state.params) for o in stmt.offset]
-        extent = [_scalar(e, env, state.params) for e in stmt.extent]
+        values = _node_scalars(stmt, stmt.offset + stmt.extent)(
+            env, state.params)
+        offset, extent = values[:array.ndim], values[array.ndim:]
         padded = False
         for axis in range(array.ndim):
             before = offset[axis]

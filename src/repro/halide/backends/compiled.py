@@ -1,19 +1,14 @@
 """The compiled backend: cached fused-NumPy kernels behind the interface.
 
-Whole-Func realization goes through :func:`repro.halide.compile.compile_func`
-(codegen paid once per structural signature, honouring tiled/parallel
-schedules); region evaluation calls the cached kernel's ``_body`` — the same
-code the kernel's own tile loop runs — so a lowered ``Store`` executes the
-fused, CSE'd, narrow-dtype kernel at any origin.  Stores whose expressions
-cannot be lowered fall back to the interpreter's region evaluator, keeping
-``compiled`` always safe.
+One kernel per Func structure (:func:`repro.halide.compile.compile_func`,
+codegen paid once per structural signature): a lowered ``Store`` runs the
+kernel's fused, CSE'd, narrow-dtype region body at any origin, writing into
+the destination view, and a ``ReduceLoop`` its region-parameterized update
+sweep.  Stores whose expressions cannot be lowered fall back to the
+interpreter's region evaluator, keeping ``compiled`` always safe.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
-
-import numpy as np
 
 from ..compile import compile_func
 from .base import Backend
@@ -22,22 +17,6 @@ from .base import Backend
 class CompiledBackend(Backend):
     name = "compiled"
 
-    def realize_func(self, func, shape, buffers, params) -> np.ndarray:
-        return compile_func(func)(shape, buffers, params)
-
-    def evaluate_region(self, func, origin, extent, buffers,
-                        params: Mapping) -> np.ndarray:
-        return compile_func(func).evaluate_region(origin, extent, buffers,
-                                                  params)
-
-    def reduce_region(self, func, out, origin, extent, buffers,
-                      params: Mapping) -> np.ndarray:
-        return compile_func(func).reduce_region(out, origin, extent, buffers,
-                                                params)
-
-    def region_evaluator(self, func):
-        # Resolve the kernel-cache entry once per Store instead of per tile.
-        return compile_func(func).evaluate_region
-
-    def region_reducer(self, func):
-        return compile_func(func).reduce_region
+    def kernels(self, func) -> tuple:
+        kernel = compile_func(func)
+        return kernel.evaluate_region, kernel.reduce_region

@@ -1,32 +1,24 @@
 """The interpreter backend: the tree-walking oracle behind the interface.
 
-Whole-Func realization and region evaluation both walk the expression tree
-with vectorized NumPy ops (:mod:`repro.halide.realize`); schedules are
-ignored.  Every other engine is validated bit-for-bit against this one —
-including through the lowered loop-nest executor, where this backend runs
-the *same* Stmt tree the compiled engine runs.
+Region evaluation and reduction sweeps both walk the expression tree with
+vectorized NumPy ops (:mod:`repro.halide.realize`).  Every other engine is
+validated bit-for-bit against this one — through the same loop nest the
+compiled engine runs — and serving degrades to it, so its frames never
+fire the ``kernel.execute`` fault site.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import functools
 
-import numpy as np
-
-from ..realize import realize_interp, realize_region_interp, reduce_region_interp
+from ..realize import realize_region_interp, reduce_region_interp
 from .base import Backend
 
 
 class InterpBackend(Backend):
     name = "interp"
+    frame_fault_site = None
 
-    def realize_func(self, func, shape, buffers, params) -> np.ndarray:
-        return realize_interp(func, shape, buffers, params)
-
-    def evaluate_region(self, func, origin, extent, buffers,
-                        params: Mapping) -> np.ndarray:
-        return realize_region_interp(func, origin, extent, buffers, params)
-
-    def reduce_region(self, func, out, origin, extent, buffers,
-                      params: Mapping) -> np.ndarray:
-        return reduce_region_interp(func, out, origin, extent, buffers, params)
+    def kernels(self, func) -> tuple:
+        return (functools.partial(realize_region_interp, func),
+                functools.partial(reduce_region_interp, func))

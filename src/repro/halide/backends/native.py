@@ -23,7 +23,9 @@ Degradation, not failure: no C compiler on PATH, cffi missing, a construct
 :mod:`.cgen` cannot translate, or a (possibly injected — fault site
 ``native.compile``) compiler failure all fall back to the compiled-NumPy
 backend, bit-identical by construction.  ``native_stats()`` counts every
-path so tests can prove which one ran.
+path so tests can prove which one ran.  A single Func's nest
+(:func:`repro.halide.realize.realize`) has no C form yet: it runs the
+compiled kernels through the shared executor.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from ...ir.types import dtype_from_name
 from ...reliability.faults import InjectedFault, fault_point
 from ...store import ArtifactKey, default_store
 from ..func import vectorize_width
-from ..parallel import choose_tile_executor, record_execution, submit_task
+from ..parallel import choose_tile_executor, record_execution
 from ..realize import RealizationError
-from .base import Backend, _ExecState, _scalar
+from .base import Backend, _ExecState, _scalar, run_parallel_loop
 from .cgen import CGenError, NestProgram, SegmentSpec, generate_nest
 
 __all__ = ["NativeBackend", "NativeCompileError", "native_stats",
@@ -99,15 +101,27 @@ def _bump(key: str, amount: int = 1) -> None:
 
 # -- toolchain ---------------------------------------------------------------
 
+#: ``(REPRO_NATIVE_CC, CC)`` values -> resolved compiler path (or None).
+_TOOLCHAINS: dict = {}
+
+
 def toolchain_path() -> Optional[str]:
     """The C compiler to use, or ``None`` (degrade) when there is none.
 
     ``REPRO_NATIVE_CC`` (then ``CC``) overrides discovery; setting either to
     a path that does not resolve *disables* the backend — which is how CI
-    proves the compilerless fallback without uninstalling gcc.
+    proves the compilerless fallback without uninstalling gcc.  Resolved
+    once per pair of those two values (a frame would otherwise pay a
+    ``PATH`` search per call), so changing either re-resolves.
     """
-    for env_var in ("REPRO_NATIVE_CC", "CC"):
-        value = os.environ.get(env_var)
+    overrides = (os.environ.get("REPRO_NATIVE_CC"), os.environ.get("CC"))
+    if overrides not in _TOOLCHAINS:
+        _TOOLCHAINS[overrides] = _find_toolchain(overrides)
+    return _TOOLCHAINS[overrides]
+
+
+def _find_toolchain(overrides: tuple) -> Optional[str]:
+    for value in overrides:
         if value is not None:
             return shutil.which(value) if value else None
     for name in ("cc", "gcc", "clang"):
@@ -161,6 +175,7 @@ def reset_native_caches() -> None:
         _FAILED.clear()
         _PROGRAMS.clear()
         _KEYS_BY_ID.clear()
+        _TOOLCHAINS.clear()
         if _SO_DIR:
             shutil.rmtree(_SO_DIR[0], ignore_errors=True)
             _SO_DIR.clear()
@@ -207,30 +222,14 @@ class NativeBackend(Backend):
 
     name = "native"
 
-    # -- legacy primitives: delegate to the compiled engine ------------------
-    # (The un-lowered paths are whole-region NumPy evaluations; there is no
-    # loop nest to compile, so the compiled backend is the honest answer.)
-
     def _compiled(self):
         from . import get_backend
         return get_backend("compiled")
 
-    def realize_func(self, func, shape, buffers, params):
-        return self._compiled().realize_func(func, shape, buffers, params)
-
-    def evaluate_region(self, func, origin, extent, buffers, params):
-        return self._compiled().evaluate_region(func, origin, extent,
-                                                buffers, params)
-
-    def reduce_region(self, func, out, origin, extent, buffers, params):
-        return self._compiled().reduce_region(func, out, origin, extent,
-                                              buffers, params)
-
-    def region_evaluator(self, func):
-        return self._compiled().region_evaluator(func)
-
-    def region_reducer(self, func):
-        return self._compiled().region_reducer(func)
+    def kernels(self, func) -> tuple:
+        # Stores outside a C segment (degraded frames, single-Func nests)
+        # run the compiled engine's kernels.
+        return self._compiled().kernels(func)
 
     # -- compilation ---------------------------------------------------------
 
@@ -379,8 +378,7 @@ class NativeBackend(Backend):
         output = np.empty(lowered.frame_shape,
                           dtype=lowered.out_dtype.to_numpy())
         buffers[lowered.output] = output
-        state = _NativeState(params=dict(params or {}),
-                             stats=stats if stats is not None else {},
+        state = _NativeState(params=dict(params or {}), stats=stats,
                              frame_shape=lowered.frame_shape,
                              bundle=bundle)
         self._exec(lowered.stmt, {}, buffers, state)
@@ -404,34 +402,26 @@ class NativeBackend(Backend):
         super()._exec(stmt, env, buffers, state)
 
     def _exec_parallel_for(self, stmt, env, buffers, state) -> None:
-        bundle = state.bundle
+        program = state.bundle.program
         start = _scalar(stmt.min, env, state.params)
         count = _scalar(stmt.extent, env, state.params)
         if count <= 0:
             return
-        body_spec = bundle.program.parallel_body.get(id(stmt))
-        if body_spec is not None and \
-                choose_tile_executor(state.frame_shape, count):
-            futures = [
-                submit_task(self._call_segment, body_spec,
-                            {**env, stmt.name: start + index},
-                            buffers, state)
-                for index in range(count)]
-            for future in futures:
-                future.result()
-            record_execution(True, count)
-            state.tally("parallel_loops")
+        body_spec = program.parallel_body.get(id(stmt))
+        if body_spec is None or not choose_tile_executor(state.frame_shape,
+                                                         count):
+            # One GIL-free call runs every iteration.
+            record_execution(False, count)
+            state.tally("serial_loops")
+            self._call_segment(program.segment_for[id(stmt)], env, buffers,
+                               state)
             return
-        record_execution(False, count)
-        state.tally("serial_loops")
-        serial_spec = bundle.program.segment_for.get(id(stmt))
-        if serial_spec is not None:
-            self._call_segment(serial_spec, env, buffers, state)
-            return
-        iter_env = dict(env)
-        for index in range(count):
-            iter_env[stmt.name] = start + index
-            self._exec(stmt.body, iter_env, buffers, state)
+
+        def run_one(index: int) -> None:
+            self._call_segment(body_spec, {**env, stmt.name: index}, buffers,
+                               state)
+
+        run_parallel_loop(stmt, env, buffers, state, start, count, run_one)
 
     def _call_segment(self, spec: SegmentSpec, env: Mapping,
                       buffers: Mapping, state) -> None:

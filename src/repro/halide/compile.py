@@ -4,9 +4,12 @@ The interpreter in :mod:`repro.halide.realize` re-walks the expression tree on
 every call, paying per-node dispatch, duplicate evaluation of shared subtrees,
 full ``int64`` intermediates and a masked wrap for every cast.  This module
 lowers a :class:`~repro.halide.func.Func` to Python source implementing one
-fused kernel, ``compile()``s it once, and caches the result keyed on the IR's
-structural signature + dtype + schedule, so repeated realizations pay codegen
-exactly once.
+fused region kernel (plus, for reductions, a region-parameterized update
+sweep), ``compile()``s it once, and caches the result keyed on the IR's
+structural signature + dtype, so repeated realizations pay codegen exactly
+once.  Schedules are not part of a kernel: the shared loop-nest executor
+(:mod:`repro.halide.backends.base`) calls the same region kernel for every
+tile of every schedule.
 
 The generated kernel is *bit-identical* to the interpreter by construction:
 
@@ -23,15 +26,16 @@ The generated kernel is *bit-identical* to the interpreter by construction:
   destination temporary is provably dead, eliminating allocations.
 
 Anything the lowering cannot prove or express raises :class:`LoweringError`
-and the Func falls back to an interpreter-backed kernel, so ``compiled`` is
-always safe to use as the default engine.
+and the Func falls back to the interpreter's region evaluator, so
+``compiled`` is always safe to use as the default engine.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -54,19 +58,13 @@ from ..ir import (
 from ..ir.simplify import _trunc_div
 from ..reliability.faults import fault_point
 from .func import Func
-from .parallel import (
-    reset_fallback_warnings,
-    run_reduction_strips,
-    run_tiles,
-    warn_serial_fallback,
-)
+from .parallel import reset_fallback_warnings
 from .realize import (
     RealizationError,
     _strip_self_reference,
     _trunc_divide,
     _trunc_remainder,
     _wrap_cast,
-    realize_interp,
     realize_region_interp,
     reduce_region_interp,
 )
@@ -789,24 +787,19 @@ def _shift_of_index(index: Expr) -> Optional[tuple[str, int]]:
 
 @dataclass
 class CompiledKernel:
-    """A compiled (or fallback) realization of one Func.
+    """A compiled (or interpreter-fallback) kernel for one Func.
 
-    ``parallel_capable`` reports whether the generated kernel can fan its
-    tiles out across the shared worker pool — i.e. whether the schedule's
-    ``parallel`` request was honoured by codegen.  (Even a capable kernel may
-    run a particular call serially when the cost heuristic in
-    :mod:`repro.halide.parallel` decides the output is too small; real
-    per-call outcomes are tallied in ``parallel.execution_stats``.)
+    Schedule-free: the shared loop-nest executor calls :meth:`evaluate_region`
+    per ``Store`` and :meth:`reduce_region` per ``ReduceLoop``, whatever
+    tiling or parallelism the schedule asks for.
     """
 
-    fn: object
     engine: str                    # 'compiled' or 'interp-fallback'
     source: str = ""
     compute_dtype: str = ""
-    parallel_capable: bool = False
-    #: The region body ``_body(origin, extent, buffers, params)`` (NumPy axis
-    #: order) of a pure kernel — the primitive the lowered ``Stmt`` executor
-    #: calls per Store; None for reduction-only kernels.
+    #: The region body ``_body(origin, extent, buffers, params, out)`` (NumPy
+    #: axis order) of a pure kernel, writing into and returning ``out``
+    #: (allocated when None); None for reduction-only Funcs.
     body: object = None
     #: The Func this kernel realizes (for region-eval fallbacks).
     func: object = None
@@ -818,27 +811,23 @@ class CompiledKernel:
     #: True when the kernel narrowed its integer dtype *and* materializes
     #: variable grids: region evaluations whose coordinates reach
     #: ``VAR_BOUND`` must take the interpreter path instead (the narrow grid
-    #: would overflow), mirroring the guard in the kernel entry.
+    #: would overflow).
     narrow_guard: bool = False
-
-    def __call__(self, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray],
-                 params: Mapping[str, float]) -> np.ndarray:
-        fault_point("kernel.execute")
-        return self.fn(tuple(reversed(shape)), buffers, params)
 
     def evaluate_region(self, origin: tuple[int, ...], extent: tuple[int, ...],
                         buffers: Mapping[str, np.ndarray],
-                        params: Mapping[str, float]) -> np.ndarray:
-        """Evaluate the pure body over one region (NumPy axis order)."""
+                        params: Mapping[str, float],
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Evaluate the pure body over one region (NumPy axis order) into
+        ``out`` (allocated when None); returns it."""
         if self.body is None:
             raise RealizationError(
                 "kernel has no pure region body (reduction-only Func)")
-        if self.narrow_guard and any(int(o) + int(e) >= VAR_BOUND
+        if self.narrow_guard and any(o + e >= VAR_BOUND
                                      for o, e in zip(origin, extent)):
             return realize_region_interp(self.func, origin, extent,
-                                         buffers, params)
-        return self.body(tuple(int(o) for o in origin),
-                         tuple(int(e) for e in extent), buffers, params)
+                                         buffers, params, out)
+        return self.body(origin, extent, buffers, params, out)
 
     def reduce_region(self, out: np.ndarray, origin: tuple[int, ...],
                       extent: tuple[int, ...],
@@ -849,8 +838,7 @@ class CompiledKernel:
         The primitive behind lowered :class:`~repro.ir.stmt.ReduceLoop`
         nodes.  Falls back to the interpreter's region sweep when this
         kernel carries no compiled reduction body or the bound source's rank
-        does not match the RDom (mirroring the whole-kernel entry's guard) —
-        both sweeps are bit-identical.
+        does not match the RDom — both sweeps are bit-identical.
         """
         if self.func is None or self.func.reduction is None:
             raise RealizationError("kernel has no reduction update")
@@ -860,8 +848,7 @@ class CompiledKernel:
                                    and source.ndim != rdom.dimensions):
             return reduce_region_interp(self.func, out, origin, extent,
                                         buffers, params)
-        return self.reduce(out, tuple(int(o) for o in origin),
-                           tuple(int(e) for e in extent), buffers, params)
+        return self.reduce(out, origin, extent, buffers, params)
 
 
 _KERNEL_CACHE: dict[tuple, CompiledKernel] = {}
@@ -891,7 +878,7 @@ def clear_kernel_cache() -> None:
 
 
 def func_signature(func: Func) -> tuple:
-    """The structural cache key: IR identity + dtype + schedule.
+    """The structural cache key: IR identity + dtype (never the schedule).
 
     Structural keys deliberately exclude the observed values of ``Param``
     leaves, but the generated kernel bakes them in as ``params.get``
@@ -912,13 +899,7 @@ def func_signature(func: Func) -> tuple:
         {(node.name, node.value) for root in roots for node in root.walk()
          if isinstance(node, Param)}))
     return (func.name, tuple(v.name for v in func.variables), func.dtype,
-            value_key, reduction_key, param_defaults,
-            func.schedule.tile_x, func.schedule.tile_y, func.schedule.parallel)
-
-
-def parallel_unsupported_reason(func: Func) -> Optional[str]:
-    """Why ``schedule.parallel`` cannot be honoured for this Func (or None)."""
-    return func.parallel_unsupported_reason()
+            value_key, reduction_key, param_defaults)
 
 
 def compile_func(func: Func) -> CompiledKernel:
@@ -951,13 +932,9 @@ def compile_func(func: Func) -> CompiledKernel:
                 with _CACHE_LOCK:
                     kernel_cache_stats["fallbacks"] += 1
                 kernel = CompiledKernel(
-                    fn=lambda np_shape, buffers, params, _f=func: realize_interp(
-                        _f, tuple(reversed(np_shape)), buffers, params),
                     engine="interp-fallback",
                     body=(None if func.value is None else
-                          lambda origin, extent, buffers, params, _f=func:
-                          realize_region_interp(_f, origin, extent, buffers,
-                                                params)),
+                          functools.partial(realize_region_interp, func)),
                     func=func)
         except BaseException as exc:       # unexpected codegen bug: unblock racers
             with _CACHE_LOCK:
@@ -978,67 +955,47 @@ def compile_func(func: Func) -> CompiledKernel:
         kernel = pending.result()
         with _CACHE_LOCK:
             kernel_cache_stats["hits"] += 1
-    if func.schedule.parallel and not kernel.parallel_capable:
-        reason = parallel_unsupported_reason(func) or "lowering fell back"
-        warn_serial_fallback(signature, reason)
     return kernel
 
 
 def _build_kernel(func: Func) -> CompiledKernel:
     fault_point("compile.kernel")
-    rank = len(func.variables)
-    if rank == 0:
+    if not func.variables:
         raise LoweringError("zero-dimensional function")
     namespace: dict = {
         "_np": np, "_win": _win, "_gather": _gather,
         "_trunc_divide": _trunc_divide, "_trunc_remainder": _trunc_remainder,
         "_wrap_cast": _wrap_cast, "RealizationError": RealizationError,
-        "_run_tiles": run_tiles, "_run_reduction_strips": run_reduction_strips,
         "_odtype": func.dtype, "_odt": func.dtype.to_numpy(),
-        "_fallback": lambda np_shape, buffers, params, _f=func: realize_interp(
-            _f, tuple(reversed(np_shape)), buffers, params),
     }
     lines: list[str] = []
     compute_dtype = "int64"
-    parallel_capable = (func.schedule.parallel
-                        and parallel_unsupported_reason(func) is None)
-
+    emitter = None
     if func.value is not None:
         emitter = _DomainEmitter(func, [func.value], "pure", namespace)
         compute_dtype = emitter.idt_name.replace("_np.", "")
-        body_lines, root = _emit_pure_body(func, emitter)
-        lines.extend(body_lines)
-    else:
-        lines.append("def _body(origin, extent, buffers, params):")
-        lines.append("    return _np.zeros(extent, dtype=_odt)")
-        emitter = None
-
+        lines.extend(_emit_pure_body(func, emitter))
     if func.reduction is not None:
         lines.append("")
         lines.extend(_emit_reduction_body(func, namespace))
 
-    lines.append("")
-    lines.extend(_emit_kernel_entry(func, emitter, parallel_capable))
-
-    if func.reduction is not None:
-        lines.extend(_emit_reduction_call(func, parallel_capable))
-    lines.append("    return out")
-
     source = "\n".join(lines) + "\n"
     code = compile(source, f"<compiled kernel {func.name}>", "exec")
     exec(code, namespace)
-    body = namespace.get("_body") if func.value is not None else None
     narrow_guard = emitter is not None and emitter.narrow \
         and emitter.uses_var_grid
-    return CompiledKernel(fn=namespace["_kernel"], engine="compiled",
-                         source=source, compute_dtype=compute_dtype,
-                         parallel_capable=parallel_capable,
-                         body=body, func=func, narrow_guard=narrow_guard,
-                         reduce=namespace.get("_reduce"))
+    return CompiledKernel(engine="compiled", source=source,
+                          compute_dtype=compute_dtype,
+                          body=namespace.get("_body"), func=func,
+                          narrow_guard=narrow_guard,
+                          reduce=namespace.get("_reduce"))
 
 
-def _emit_pure_body(func: Func, emitter: _DomainEmitter) -> tuple[list[str], str]:
-    lines = ["def _body(origin, extent, buffers, params):"]
+def _emit_pure_body(func: Func, emitter: _DomainEmitter) -> list[str]:
+    """``_body(origin, extent, buffers, params, out)``: the value over one
+    region, written into ``out`` (a view of the destination buffer, or None
+    to allocate it) and returned."""
+    lines = ["def _body(origin, extent, buffers, params, out):"]
     emitter.indent = "    "
     emitter.lines = []
     roots = emitter.emit("    ")
@@ -1047,51 +1004,20 @@ def _emit_pure_body(func: Func, emitter: _DomainEmitter) -> tuple[list[str], str
     root_vid = emitter.numbering.ids[func.value]
     root_interval = emitter.intervals[root_vid]
     root_kind = emitter.kinds[root_vid]
-    lines.append(f"    block = _np.broadcast_to(_np.asarray({root}), extent)")
     bounds = _dtype_bounds(func.dtype) if func.dtype.is_integer else None
     if func.dtype.is_integer and root_kind in ("int", "bool") \
             and root_interval is not None \
             and bounds[0] <= root_interval[0] and root_interval[1] <= bounds[1]:
         # Provably in range: skip the mask-and-sign-fix wrap entirely.
-        lines.append("    return block.astype(_odt)")
+        lines.append(f"    _v = {root}")
     else:
-        lines.append("    return _wrap_cast(block, _odtype).astype(_odt)")
-    return lines, root
-
-
-def _emit_kernel_entry(func: Func, emitter: Optional[_DomainEmitter],
-                       parallel: bool) -> list[str]:
-    lines = ["def _kernel(shape, buffers, params):"]
-    if emitter is not None and emitter.narrow and emitter.uses_var_grid:
-        lines.append(f"    if shape and max(shape) >= {VAR_BOUND}:")
-        lines.append("        return _fallback(shape, buffers, params)")
-    rank = len(func.variables)
-    tile_x, tile_y = func.schedule.tile_x, func.schedule.tile_y
-    if func.value is not None and tile_x > 0 and tile_y > 0 and rank >= 2:
-        lines.append("    out = _np.empty(shape, dtype=_odt)")
-        lines.append(f"    _height, _width = shape[{rank - 2}], shape[{rank - 1}]")
-        if parallel:
-            # Enumerate the (disjoint) tiles, then let the shared worker pool
-            # execute them; the cost heuristic may still keep a call serial.
-            lines.append("    _tiles = []")
-            lines.append(f"    for _oy in range(0, _height, {tile_y}):")
-            lines.append(f"        _ey = min({tile_y}, _height - _oy)")
-            lines.append(f"        for _ox in range(0, _width, {tile_x}):")
-            lines.append(f"            _ex = min({tile_x}, _width - _ox)")
-            lines.append(f"            _tiles.append(((0,) * {rank - 2} + (_oy, _ox), "
-                         f"shape[:{rank - 2}] + (_ey, _ex)))")
-            lines.append("    _run_tiles(_body, out, _tiles, buffers, params)")
-        else:
-            lines.append(f"    for _oy in range(0, _height, {tile_y}):")
-            lines.append(f"        _ey = min({tile_y}, _height - _oy)")
-            lines.append(f"        for _ox in range(0, _width, {tile_x}):")
-            lines.append(f"            _ex = min({tile_x}, _width - _ox)")
-            lines.append(f"            _origin = (0,) * {rank - 2} + (_oy, _ox)")
-            lines.append(f"            _extent = shape[:{rank - 2}] + (_ey, _ex)")
-            lines.append("            out[..., _oy:_oy + _ey, _ox:_ox + _ex] = "
-                         "_body(_origin, _extent, buffers, params)")
-    else:
-        lines.append(f"    out = _body((0,) * {rank}, tuple(shape), buffers, params)")
+        lines.append(f"    _v = _wrap_cast({root}, _odtype)")
+    # A missing destination is allocated last, after the temporaries.
+    lines.append("    if out is None:")
+    lines.append("        return _np.broadcast_to(_np.asarray(_v), extent)"
+                 ".astype(_odt)")
+    lines.append("    _np.copyto(out, _v, casting='unsafe')")
+    lines.append("    return out")
     return lines
 
 
@@ -1099,9 +1025,9 @@ def _emit_reduction_body(func: Func, namespace: dict) -> list[str]:
     """The region-parameterized update sweep ``_reduce(out, origin, extent)``.
 
     ``_rorigin``/``_rextent`` delimit the swept RDom sub-region in global
-    source coordinates (NumPy axis order); the whole-kernel entry calls it
-    over the full source domain, and lowered :class:`~repro.ir.stmt.ReduceLoop`
-    nodes (plus the parallel strip executor) call it per strip.
+    source coordinates (NumPy axis order); lowered
+    :class:`~repro.ir.stmt.ReduceLoop` nodes call it over the whole source
+    domain or, for a two-phase parallel reduction, per strip.
     """
     rdom, index_exprs, update = func.reduction
     increment = _strip_self_reference(update, func.name)
@@ -1126,30 +1052,4 @@ def _emit_reduction_body(func: Func, namespace: dict) -> list[str]:
         lines.append(f"    out[({np_index},)] = _wrap_cast(_np.asarray({value_atom}), "
                      "_odtype).astype(_odt)")
     lines.append("    return out")
-    return lines
-
-
-def _emit_reduction_call(func: Func, parallel: bool) -> list[str]:
-    """The whole-kernel entry's reduction phase: full-domain sweep.
-
-    Associative reductions whose schedule asks for ``parallel`` fan RDom row
-    strips out across the shared pool into private partial accumulators with
-    a deterministic serial merge (:func:`repro.halide.parallel.run_reduction_strips`);
-    everything else runs the one serial whole-domain sweep the interpreter
-    oracle runs.
-    """
-    rdom = func.reduction[0]
-    lines = [f"    _src = buffers.get({rdom.source!r})"]
-    lines.append("    if _src is None:")
-    lines.append(f"        raise RealizationError("
-                 f"'no binding for reduction source {rdom.source}')")
-    lines.append(f"    if _src.ndim != {rdom.dimensions}:")
-    lines.append("        return _fallback(shape, buffers, params)")
-    if parallel and func.reduction_is_associative():
-        strip = func.reduction_strip_rows()
-        lines.append(f"    _run_reduction_strips(_reduce, out, _src.shape, "
-                     f"{strip}, buffers, params)")
-    else:
-        lines.append(f"    _reduce(out, (0,) * {rdom.dimensions}, _src.shape, "
-                     "buffers, params)")
     return lines

@@ -97,9 +97,9 @@ class Schedule:
     """A (simulated) Halide schedule.
 
     The NumPy realizer always vectorizes; tiling controls the block size used
-    when evaluating large outputs (affecting locality), ``parallel`` asks the
-    compiled engine to execute independent tiles across the shared worker
-    pool (see :mod:`repro.halide.parallel`), and ``fuse_producers`` controls
+    when evaluating large outputs (affecting locality), ``parallel`` asks
+    every engine to execute independent tiles across the shared worker pool
+    (see :mod:`repro.halide.parallel`), and ``fuse_producers`` controls
     whether producer functions are inlined or materialized.
 
     ``compute`` places the Func in a pipeline (its *materialization level*,
@@ -234,8 +234,8 @@ class Func:
 
         Effective together with :meth:`tile` on a pure rank>=2 function, and
         on associative reductions (RDom strips accumulate into private
-        partial accumulators, merged serially); otherwise the compiled
-        engine warns once and runs serially (see
+        partial accumulators, merged serially); otherwise lowering warns
+        once and the loop runs serially (see
         :meth:`parallel_unsupported_reason`).
         """
         self.schedule.parallel = enabled

@@ -33,6 +33,11 @@ the partials into the output.  Non-associative updates (scatter-assign,
 float accumulation) keep a single serialized whole-domain sweep —
 bit-identical to the interpreter oracle by construction.
 
+A single Func lowers through :func:`lower_func` — the nest
+:func:`repro.halide.realize.realize` executes on every engine: one store
+(or the same tile loops a tiled pipeline stage gets) plus, for reductions,
+the same update sweeps.
+
 What demotes to ``compute_root`` (recorded in the report): taps into the
 producer that are not axis-aligned shifted windows (no finite footprint to
 infer bounds from), ``compute_at`` requests on or into a reduction stage
@@ -71,6 +76,7 @@ from ..ir import (
     canonicalize,
 )
 from .func import Func, RDom, Schedule
+from .parallel import warn_serial_fallback
 
 
 class PipelineLoweringError(Exception):
@@ -350,8 +356,8 @@ def _reduction_sweep(sched_func: Func, update_func: Func, out_buffer: str,
     slab per strip) filled under a parallel ``For``, then a deterministic
     serial merge loop — everything else the single serialized whole-domain
     ``ReduceLoop`` the oracle runs.  Returns ``(stmt, description)``; both
-    the pipeline lowering and the standalone ``--explain`` form build from
-    this one helper so they can never drift apart.
+    the pipeline lowering and :func:`lower_func` build from this one helper
+    so they can never drift apart.
     """
     rank = len(source_shape)
     associative = update_func.reduction_is_associative()
@@ -387,6 +393,41 @@ def _reduction_sweep(sched_func: Func, update_func: Func, out_buffer: str,
     return Allocate(partials_buffer, update_func.dtype,
                     (strips,) + tuple(out_shape),
                     Block([fill, merge]), fill=0), description
+
+
+def _loop_kind(func: Func) -> str:
+    """``"parallel"`` when ``func``'s tile loop may fan out, else ``"serial"``."""
+    if func.schedule.parallel and func.parallel_unsupported_reason() is None:
+        return "parallel"
+    return "serial"
+
+
+def _tile_loops(name: str, let_prefix: str, shape: Sequence[int],
+                tile_w: int, tile_h: int, kind: str, region) -> Stmt:
+    """The tile ``For`` pair over the two innermost axes of ``shape``.
+
+    ``region(origin, extent, lets, static_extent)`` builds the body for one
+    tile (origin/extent in NumPy axis order, bound through ``lets``;
+    ``static_extent`` is the steady-state tile size).  The outer loop is
+    ``kind``; tiles are disjoint, which is what lets a ``"parallel"`` loop
+    fan them out.
+    """
+    rank = len(shape)
+    height, width = shape[rank - 2], shape[rank - 1]
+    vy = IRVar(f"{name}.tile_y")
+    vx = IRVar(f"{name}.tile_x")
+    lets = _Lets()
+    oy = lets.bind(f"{let_prefix}.oy", _mul(vy, tile_h))
+    ox = lets.bind(f"{let_prefix}.ox", _mul(vx, tile_w))
+    ey = lets.bind(f"{let_prefix}.ey", _min_(tile_h, _sub(height, oy)))
+    ex = lets.bind(f"{let_prefix}.ex", _min_(tile_w, _sub(width, ox)))
+    origin = [0] * (rank - 2) + [oy, ox]
+    extent = list(shape[:rank - 2]) + [ey, ex]
+    static_extent = (list(shape[:rank - 2])
+                     + [min(tile_h, height), min(tile_w, width)])
+    body = lets.wrap(region(origin, extent, lets, static_extent))
+    loops = For(vx.name, 0, -(-width // tile_w), body)
+    return For(vy.name, 0, -(-height // tile_h), loops, kind=kind)
 
 
 def _used_params(expr: Expr, candidates: dict[str, object]) -> dict:
@@ -712,10 +753,10 @@ class _Lowerer:
         """The reduction update retargeted to the lowered buffer names.
 
         Taps into the stage input read the resolved input buffer; the
-        accumulator self-reference follows the clone's name (the executor
-        binds the target buffer under it, exactly as the whole-Func
-        realizers bind the output).  The name is deterministic per stage so
-        the compiled backend's kernel cache hits across frames.
+        accumulator self-reference follows the clone's name (the reduction
+        sweep binds the target buffer under it).  The name is deterministic
+        per stage so the compiled backend's kernel cache hits across
+        frames.
         """
         rdom, index_exprs, update = ctx.func.reduction
         name = f"{ctx.stage.name}#{ctx.index}.update"
@@ -786,27 +827,13 @@ class _Lowerer:
         prefix = f"s{consumer.index}"
 
         if tiled:
-            tile_w, tile_h = schedule.tile_x, schedule.tile_y
-            height = self.frame_shape[rank - 2]
-            width = self.frame_shape[rank - 1]
-            vy = IRVar(f"{consumer.stage.name}.tile_y")
-            vx = IRVar(f"{consumer.stage.name}.tile_x")
-            lets = _Lets()
-            oy = lets.bind(f"{prefix}.oy", _mul(vy, tile_h))
-            ox = lets.bind(f"{prefix}.ox", _mul(vx, tile_w))
-            ey = lets.bind(f"{prefix}.ey", _min_(tile_h, _sub(height, oy)))
-            ex = lets.bind(f"{prefix}.ex", _min_(tile_w, _sub(width, ox)))
-            origin = [0] * (rank - 2) + [oy, ox]
-            extent = list(self.frame_shape[:rank - 2]) + [ey, ex]
-            static_extent = (list(self.frame_shape[:rank - 2])
-                             + [min(tile_h, height), min(tile_w, width)])
-            body = lets.wrap(self._lower_region(
-                consumer, chain, origin, extent, lets, static_extent))
-            loops = For(vx.name, 0, -(-width // tile_w), body)
-            kind = "parallel" if (schedule.parallel
-                                  and consumer.func.parallel_unsupported_reason()
-                                  is None) else "serial"
-            return For(vy.name, 0, -(-height // tile_h), loops, kind=kind)
+            def region(origin, extent, lets, static_extent):
+                return self._lower_region(consumer, chain, origin, extent,
+                                          lets, static_extent)
+
+            return _tile_loops(consumer.stage.name, prefix, self.frame_shape,
+                               schedule.tile_x, schedule.tile_y,
+                               _loop_kind(consumer.func), region)
 
         if chain:
             # Untiled consumer with compute_at producers: row strips
@@ -1185,38 +1212,62 @@ class _Lowerer:
                      param_exprs=params, label="consume")
 
 
-def lower_reduction_func(func: Func, out_shape: Sequence[int],
-                         source_shape: Sequence[int]) -> Stmt:
-    """A standalone lowered form of one reduction Func, for inspection.
+def func_output_buffer(func: Func) -> str:
+    """The buffer name :func:`lower_func`'s nest writes ``func``'s output to."""
+    return f"{func.name}.out"
 
-    Returns the init / update / merge phases of the given reduction as a
-    ``Stmt`` tree over an accumulator of ``out_shape`` swept from a source
-    of ``source_shape`` (both NumPy axis order) — what ``python -m repro
-    run --explain`` prints for lifted table kernels.  Unlike
-    :func:`lower_pipeline` this does not require the reduction to be
-    rank-preserving, so a 256-bin histogram over a 2-D frame lowers here
-    even though it cannot join a frame-shaped pipeline.  Buffer names match
-    the whole-Func realizers' bindings (``rdom.source`` for the source, the
-    Func's own name for the accumulator self-reference).
+
+def lower_func(func: Func, out_shape: Sequence[int],
+               source_shape: Optional[Sequence[int]] = None) -> Stmt:
+    """The loop nest :func:`repro.halide.realize.realize` runs for one Func.
+
+    ``out_shape`` is the output domain and ``source_shape`` the reduction
+    source's extents (both NumPy axis order; the latter only for
+    reductions).  The nest reads the Func's inputs under their own names
+    and writes :func:`func_output_buffer`:
+
+    * a pure Func is one full-output ``Store``, or — tiled — the tile
+      ``For`` pair :meth:`_Lowerer._lower_group` builds for a tiled stage
+      (parallel when :meth:`Func.parallel_unsupported_reason` is None);
+    * a reduction is an init ``Store`` of its pure value (a Func without
+      one realizes into a zero-filled output) followed by the update
+      sweep(s) of :func:`_reduction_sweep`.
+
+    Every ``Store`` and ``ReduceLoop`` executes ``func`` itself, so one
+    kernel serves every schedule.  A ``parallel`` request the Func cannot
+    honour warns :class:`~repro.halide.parallel.ParallelFallbackWarning`
+    here, once per kernel.
     """
-    if func.reduction is None:
-        raise PipelineLoweringError(f"{func.name} has no reduction update")
     out_shape = tuple(int(e) for e in out_shape)
+    rank = len(out_shape)
+    out_buffer = func_output_buffer(func)
+    schedule = func.schedule
+    if schedule.parallel:
+        reason = func.parallel_unsupported_reason()
+        if reason is not None:
+            from .compile import func_signature
+
+            warn_serial_fallback(func_signature(func), reason)
+
+    def store(origin, extent, label: str) -> Store:
+        return Store(buffer=out_buffer, offset=tuple(origin),
+                     extent=tuple(extent), func=func,
+                     eval_origin=tuple(origin), label=label)
+
+    if func.reduction is None:
+        if schedule.tile_x > 0 and schedule.tile_y > 0 and rank >= 2:
+            return _tile_loops(func.name, func.name, out_shape,
+                               schedule.tile_x, schedule.tile_y,
+                               _loop_kind(func),
+                               lambda o, e, _lets, _static: store(o, e, "tile"))
+        return store((0,) * rank, out_shape, "whole")
     source_shape = tuple(int(e) for e in source_shape)
-    out_buffer = f"{func.name}.out"
-    out_rank = len(out_shape)
-    init_value = func.value if func.value is not None else Const(0, INT32)
-    init_func = Func(name=f"{func.name}.init",
-                     variables=list(func.variables), value=init_value,
-                     dtype=func.dtype, inputs=list(func.inputs),
-                     schedule=Schedule(fuse_producers=False,
-                                       vectorize=func.schedule.vectorize))
-    init = Store(buffer=out_buffer, offset=(0,) * out_rank, extent=out_shape,
-                 func=init_func, eval_origin=(0,) * out_rank, label="init")
     sweep, _description = _reduction_sweep(
         func, func, out_buffer, f"{func.name}.partials",
         out_shape, source_shape, func.name, f"{func.name}.r")
-    return Block([init, sweep])
+    if func.value is None:
+        return sweep
+    return Block([store((0,) * rank, out_shape, "init"), sweep])
 
 
 def lower_pipeline(pipeline, frame_shape: Sequence[int]) -> LoweredPipeline:

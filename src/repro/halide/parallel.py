@@ -1,27 +1,27 @@
-"""Multicore tile execution for compiled kernels.
+"""The shared worker pool behind every parallel loop.
 
-The compiled backend (:mod:`repro.halide.compile`) decomposes a tiled pure
-Func into independent output tiles; this module runs those tiles across a
-process-wide :class:`~concurrent.futures.ThreadPoolExecutor`.  NumPy ufuncs
-release the GIL for the array work that dominates each tile, so threads scale
-on multicore hardware without the pickling restrictions a process pool would
-impose on dynamically ``compile()``-d kernel bodies (the generated ``_body``
-closures are not picklable, which is why the pool is thread-based).
+Lowered loop nests (:mod:`repro.halide.lower`) mark tile loops and
+reduction-strip loops whose iterations write disjoint regions
+``parallel``; the one executor (:func:`repro.halide.backends.base.run_parallel_loop`,
+used by every backend) fans their iterations out across a process-wide
+:class:`~concurrent.futures.ThreadPoolExecutor` from this module.  NumPy
+ufuncs and native segments release the GIL for the array work that
+dominates each iteration, so threads scale on multicore hardware without
+the pickling restrictions a process pool would impose on dynamically
+``compile()``-d kernel bodies.
 
-Whether a given realization actually fans out is a per-call decision made by
-:func:`choose_tile_executor`, a cost heuristic over the output extents and the
-pool size — tiny outputs stay serial because submit/join overhead would exceed
-the tile work.  Workers never re-submit to the pool (nested realizations —
-e.g. a kernel realized inside a :class:`~repro.halide.serve.PipelineServer`
-request — run their tiles serially), so the shared pool cannot deadlock on
-itself.
+Whether a given loop actually fans out is a per-call decision made by
+:func:`choose_tile_executor`, a cost heuristic over the frame extents and
+the pool size — tiny frames stay serial because submit/join overhead would
+exceed the tile work.  Workers never re-submit to the pool (nested
+realizations — e.g. a kernel realized inside a
+:class:`~repro.halide.serve.PipelineServer` request — run their loops
+serially), so the shared pool cannot deadlock on itself.
 
-Every realization records its real execution mode in :data:`execution_stats`;
-schedules that request ``parallel`` but cannot be honoured (untiled pure
-funcs, non-associative reductions, rank < 2) emit a
-:class:`ParallelFallbackWarning` once per kernel signature at compile time.
-Associative reductions parallelize through :func:`run_reduction_strips` —
-private partial accumulators per RDom strip, merged serially.
+Every parallel loop records its real execution mode in
+:data:`execution_stats`; schedules that request ``parallel`` but cannot be
+honoured (untiled pure funcs, non-associative reductions, rank < 2) emit a
+:class:`ParallelFallbackWarning` once per kernel when they are lowered.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-from ..reliability.faults import fault_fires, fault_point
-from ..reliability.policy import TransientExecutionError
+from ..reliability.faults import fault_fires
 
 #: Thread-name prefix identifying the shared pool's workers; used to detect
 #: (and serialize) nested parallelism instead of deadlocking the pool.
@@ -52,10 +49,10 @@ _pool_lock = threading.Lock()
 _stats_lock = threading.Lock()
 
 #: Real execution modes observed at run time (not what schedules *request*):
-#: ``parallel`` / ``serial`` count whole-kernel realizations routed through
-#: the tiled executor; ``tiles_parallel`` / ``tiles_serial`` count the tiles
-#: those realizations executed.  ``serial`` includes heuristic rejections and
-#: nested (in-worker) realizations.
+#: ``parallel`` / ``serial`` count executions of ``parallel`` loops;
+#: ``tiles_parallel`` / ``tiles_serial`` count the iterations those loops
+#: ran, ``tile_retries`` the iterations re-run after a transient failure.
+#: ``serial`` includes heuristic rejections and nested (in-worker) loops.
 execution_stats = {"parallel": 0, "serial": 0,
                    "tiles_parallel": 0, "tiles_serial": 0,
                    "tile_retries": 0, "pool_revived": 0}
@@ -219,19 +216,15 @@ def choose_tile_executor(shape, tile_count: int) -> bool:
     return elems >= MIN_PARALLEL_ELEMS
 
 
-def record_execution(parallel: bool, tiles: int) -> None:
-    """Tally one realization's real execution mode in :data:`execution_stats`.
-
-    Used by :func:`run_tiles` and by the lowered-IR executor in
-    :mod:`repro.halide.backends.base`, so both tile-execution paths report
-    through the same counters.
-    """
+def record_execution(parallel: bool, tiles: int, retries: int = 0) -> None:
+    """Tally one parallel loop's real execution mode in :data:`execution_stats`."""
     with _stats_lock:
         execution_stats["parallel" if parallel else "serial"] += 1
         execution_stats["tiles_parallel" if parallel else "tiles_serial"] += tiles
+        execution_stats["tile_retries"] += retries
 
 
-def _maybe_kill_pool() -> None:
+def maybe_kill_pool() -> None:
     """``pool.die`` fault site: shut the shared executor down under us.
 
     Models a worker pool dying mid-service; the next :func:`submit_task`
@@ -244,115 +237,6 @@ def _maybe_kill_pool() -> None:
         pool = _pool
     if pool is not None:
         pool.shutdown(wait=False)
-
-
-def run_tiles(body, out, tiles, buffers, params) -> None:
-    """Execute ``body`` over every ``(origin, extent)`` tile into ``out``.
-
-    Tiles cover disjoint regions of ``out``, so any execution order (and any
-    interleaving across threads) produces bit-identical results; the parallel
-    path is therefore exactly as trustworthy as the serial loop it replaces.
-    Called from generated kernel code in :mod:`repro.halide.compile`.
-
-    A tile whose execution fails transiently (an injected fault, an evicted
-    worker) is re-executed once — serially, on the collecting thread — before
-    the whole realization is allowed to fail; disjointness makes the re-run
-    safe at any point.
-    """
-    _maybe_kill_pool()
-    if choose_tile_executor(out.shape, len(tiles)):
-        futures = [submit_task(_run_one_tile, body, out, origin, extent,
-                               buffers, params)
-                   for origin, extent in tiles]
-        failed = []
-        errors = []
-        for future, tile in zip(futures, tiles):
-            try:
-                future.result()
-            except TransientExecutionError as exc:
-                failed.append(tile)
-                errors.append(exc)
-        for (origin, extent), error in zip(failed, errors):
-            _retry_tile(body, out, origin, extent, buffers, params, error)
-        record_execution(True, len(tiles))
-        return
-    for origin, extent in tiles:
-        try:
-            _run_one_tile(body, out, origin, extent, buffers, params)
-        except TransientExecutionError as exc:
-            _retry_tile(body, out, origin, extent, buffers, params, exc)
-    record_execution(False, len(tiles))
-
-
-def _retry_tile(body, out, origin, extent, buffers, params, error) -> None:
-    """Serial one-shot re-execution of a transiently failed tile."""
-    with _stats_lock:
-        execution_stats["tile_retries"] += 1
-    try:
-        _run_one_tile(body, out, origin, extent, buffers, params)
-    except TransientExecutionError as exc:
-        raise exc from error
-
-
-def _run_one_tile(body, out, origin, extent, buffers, params) -> None:
-    fault_point("tile.execute")
-    region = tuple(slice(o, o + e) for o, e in zip(origin, extent))
-    out[region] = body(origin, extent, buffers, params)
-
-
-def run_reduction_strips(reduce_fn, out, source_shape, strip, buffers,
-                         params) -> None:
-    """Two-phase associative reduction over the shared worker pool.
-
-    Splits the RDom source's outermost axis into ``strip``-row strips, fans
-    each strip's update sweep into a *private* partial accumulator
-    (``np.add.at`` releases the GIL for the indexed work, so the strips
-    scale on multicore hosts), then merges the partials into ``out`` with a
-    deterministic serial loop.  Only valid for associative combine ops
-    (modular integer accumulation) — for those, any strip split merges to a
-    result bit-identical to the single serial whole-domain sweep, which is
-    also the fallback when the cost heuristic keeps the call serial.
-    ``reduce_fn(out, origin, extent, buffers, params)`` is the compiled
-    ``_reduce`` body from :mod:`repro.halide.compile`.
-    """
-    axis0 = source_shape[0] if source_shape else 0
-    rank = len(source_shape)
-    count = -(-axis0 // strip) if strip > 0 and axis0 > 0 else 1
-    if count < 2 or not choose_tile_executor(source_shape, count):
-        reduce_fn(out, (0,) * rank, tuple(source_shape), buffers, params)
-        record_execution(False, 1)
-        return
-    rest = tuple(source_shape[1:])
-    _maybe_kill_pool()
-    partials = np.zeros((count,) + out.shape, dtype=out.dtype)
-
-    def one_strip(index: int) -> None:
-        fault_point("tile.execute")
-        lo = index * strip
-        extent = (min(strip, axis0 - lo),) + rest
-        reduce_fn(partials[index], (lo,) + (0,) * (rank - 1), extent,
-                  buffers, params)
-
-    futures = [submit_task(one_strip, index) for index in range(count)]
-    failed: list[tuple[int, Exception]] = []
-    for index, future in enumerate(futures):
-        try:
-            future.result()
-        except TransientExecutionError as exc:
-            failed.append((index, exc))
-    for index, error in failed:
-        # Accumulation is not idempotent, so the retry starts the strip's
-        # *private* partial from zero again before re-sweeping it serially.
-        with _stats_lock:
-            execution_stats["tile_retries"] += 1
-        partials[index] = 0
-        try:
-            one_strip(index)
-        except TransientExecutionError as exc:
-            raise exc from error
-    for index in range(count):          # deterministic serial merge
-        np.add(out, partials[index], out=out)
-    record_execution(True, count)
 
 
 _warned_signatures: set = set()

@@ -1,7 +1,8 @@
 """NumPy realization of mini-Halide functions.
 
 Evaluates a :class:`~repro.halide.func.Func` over its output domain using
-vectorized NumPy, honouring the tiling schedule.  Integer arithmetic is
+vectorized NumPy: :func:`realize` runs the Func's scheduled loop nest on any
+engine, :func:`realize_interp` is the schedule-free oracle.  Integer arithmetic is
 performed in int64 and wrapped at casts, which reproduces the 32-bit x86
 arithmetic of the original kernels bit-for-bit for the value ranges stencils
 produce; floating point follows IEEE double like the x87/SSE originals.
@@ -10,6 +11,7 @@ produce; floating point follows IEEE double like the x87/SSE originals.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Mapping
 
 import numpy as np
@@ -24,12 +26,14 @@ from ..ir import (
     Op,
     Param,
     Select,
+    Store,
     UnOp,
     Var,
 )
 # _strip_self_reference lives in func.py (next to the associativity test it
 # underpins) and stays importable from here for the compiled backend.
 from .func import Func, _strip_self_reference  # noqa: F401
+from .lower import func_output_buffer, lower_func
 
 
 class RealizationError(Exception):
@@ -120,6 +124,11 @@ def _shift_of(index: Expr):
     return "complex", 0
 
 
+#: Env key carrying the region an expression is evaluated over:
+#: ``(var_position, origin, extent)`` with origin/extent in NumPy axis order.
+_REGION = "__region__"
+
+
 def _sliced_access(expr: BufferAccess, array: np.ndarray, env: Mapping) -> np.ndarray | None:
     """Fast path: shifted-window accesses become array slices.
 
@@ -127,13 +136,14 @@ def _sliced_access(expr: BufferAccess, array: np.ndarray, env: Mapping) -> np.nd
     vector loads for ``input(x+1, y)`` style accesses instead of gathers; it
     is what makes the realized kernels competitive in the benchmarks.  Applies
     when the access has the same rank as the output and index position ``p``
-    is ``x_p + c`` — i.e. a shifted window aligned with the iteration space.
+    is ``x_p + c`` — i.e. a shifted window aligned with the iteration space —
+    and the window at the region's origin lies inside the buffer.
     """
-    var_position = env.get("__var_position__")
-    out_shape = env.get("__out_shape__")
-    if var_position is None or out_shape is None:
+    region = env.get(_REGION)
+    if region is None:
         return None
-    rank = len(out_shape)
+    var_position, origin, extent = region
+    rank = len(extent)
     if array.ndim != len(expr.indices) or array.ndim != rank:
         return None
     slices: list = [None] * rank
@@ -144,10 +154,10 @@ def _sliced_access(expr: BufferAccess, array: np.ndarray, env: Mapping) -> np.nd
             return None
         if var_position.get(name) != position:
             return None
-        extent = out_shape[axis]
-        if offset < 0 or offset + extent > array.shape[axis]:
+        start = origin[axis] + offset
+        if start < 0 or start + extent[axis] > array.shape[axis]:
             return None
-        slices[axis] = slice(offset, offset + extent)
+        slices[axis] = slice(start, start + extent[axis])
     return array[tuple(slices)]
 
 
@@ -228,8 +238,8 @@ def _apply_binop(op: str, a, b, is_float: bool):
 
 #: Engines: "interp" walks the expression tree with NumPy ops (the oracle);
 #: "compiled" lowers the Func to a fused, CSE'd kernel once and caches it;
-#: "native" compiles the whole lowered loop nest to C (degrading to
-#: "compiled" when no C toolchain is available).
+#: "native" compiles a lowered pipeline's whole loop nest to C (single Funcs,
+#: and hosts without a C toolchain, run the compiled kernels).
 ENGINES = ("interp", "compiled", "native")
 
 DEFAULT_ENGINE = os.environ.get("REPRO_REALIZE_ENGINE", "compiled")
@@ -250,6 +260,52 @@ def set_default_engine(engine: str) -> str:
     return previous
 
 
+#: Bound on memoized single-Func nests (see :func:`_func_nest`); evicts the
+#: least recently used beyond this.
+MAX_FUNC_NESTS = 64
+
+_NESTS: dict[tuple, tuple] = {}
+#: Guards every access: a hit moves its entry to the end (most recent).
+_NESTS_LOCK = threading.Lock()
+
+
+def _func_nest(func: Func, out_shape: tuple[int, ...],
+               source_shape: tuple[int, ...] | None):
+    """The :func:`~repro.halide.lower.lower_func` nest for this call, memoized.
+
+    The key holds everything the nest's structure depends on — the Func's
+    name, whether it has a pure value, its reduction (whose associativity
+    also needs an integer dtype), tiling and parallel flag, and both shapes
+    — so an ``update`` or an in-place schedule change lowers afresh.  A
+    ``define`` that replaces a value needs no new nest: its nodes execute
+    the Func itself.  Identities in the key stay unambiguous because the
+    entry keeps the Func (through the nest's nodes) and its reduction alive.
+    """
+    schedule = func.schedule
+    key = (id(func), func.name, func.value is None, id(func.reduction),
+           func.dtype.is_integer, schedule.tile_x, schedule.tile_y,
+           schedule.parallel, out_shape, source_shape)
+    with _NESTS_LOCK:
+        entry = _NESTS.pop(key, None)
+        if entry is not None:
+            _NESTS[key] = entry
+            return entry[0]
+    nest = lower_func(func, out_shape, source_shape)
+    with _NESTS_LOCK:
+        _NESTS[key] = (nest, func.reduction, out_shape, source_shape)
+        while len(_NESTS) > MAX_FUNC_NESTS:
+            del _NESTS[next(iter(_NESTS))]
+    return nest
+
+
+def executed_nests(func: Func) -> list[tuple]:
+    """``(out_shape, source_shape, nest)`` for each nest :func:`realize`
+    memoized for ``func`` (what ``python -m repro run --explain`` prints)."""
+    with _NESTS_LOCK:
+        return [(entry[2], entry[3], entry[0])
+                for key, entry in list(_NESTS.items()) if key[0] == id(func)]
+
+
 def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray],
             params: Mapping[str, float] | None = None,
             engine: str | None = None) -> np.ndarray:
@@ -258,48 +314,60 @@ def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray
     ``shape`` gives the extent of each pure variable (innermost first, matching
     the order of ``func.variables``); ``buffers`` binds input buffer names to
     NumPy arrays indexed outermost-first.  ``engine`` selects the interpreter
-    ("interp") or the cached compiled-kernel backend ("compiled", the
-    default); both are bit-identical.  The process-wide default engine comes
-    from ``REPRO_REALIZE_ENGINE`` (see :func:`set_default_engine`).
+    ("interp"), the cached compiled-kernel backend ("compiled", the default)
+    or the native backend; all are bit-identical.  The process-wide default
+    engine comes from ``REPRO_REALIZE_ENGINE`` (see :func:`set_default_engine`).
 
-    Under the compiled engine a tiled schedule marked ``parallel`` executes
-    its tiles across the shared worker pool (``REPRO_NUM_THREADS`` sizes it,
-    ``REPRO_PARALLEL=0`` disables it) with bit-identical results; the
-    interpreter ignores schedules entirely.  For many inputs through one
-    function, see :func:`repro.halide.serve.realize_batch`.
+    Every engine runs the Func's schedule through the same loop nest
+    (:func:`repro.halide.lower.lower_func`, memoized per definition, schedule
+    and shapes) on the shared executor: a tiled schedule marked ``parallel``
+    executes its tiles across the shared worker pool (``REPRO_NUM_THREADS``
+    sizes it, ``REPRO_PARALLEL=0`` disables it), an associative reduction its
+    RDom strips.  For many inputs through one function, see
+    :func:`repro.halide.serve.realize_batch`.
     """
     if func.value is None and func.reduction is None:
         raise RealizationError(f"function {func.name} has no definition")
-    choice = engine if engine is not None else DEFAULT_ENGINE
     from .backends import get_backend
 
-    return get_backend(choice).realize_func(func, shape, buffers, params or {})
+    backend = get_backend(engine if engine is not None else DEFAULT_ENGINE)
+    out_shape = tuple([int(e) for e in reversed(shape)])
+    source_shape = None
+    if func.reduction is not None:
+        source = buffers.get(func.reduction[0].source)
+        if source is None:
+            raise RealizationError(
+                f"no binding for reduction source {func.reduction[0].source}")
+        source_shape = tuple(source.shape)
+    nest = _func_nest(func, out_shape, source_shape)
+    kernels = backend.kernels(func)
+    bound = dict(buffers)
+    name = func_output_buffer(func)
+    if not isinstance(nest, Store):
+        # Tiles and reduction sweeps write into the output; a lone
+        # whole-output Store materializes it itself.
+        allocate = np.empty if func.value is not None else np.zeros
+        bound[name] = allocate(out_shape, dtype=func.dtype.to_numpy())
+    backend.run(nest, bound, params,
+                frame_shape=source_shape or out_shape, kernels=kernels)
+    return bound[name]
 
 
 def realize_interp(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray],
                    params: Mapping[str, float] | None = None) -> np.ndarray:
-    """The tree-walking NumPy realizer (the compiled engine's oracle)."""
-    params = params or {}
+    """The tree-walking NumPy realizer: every engine's bit-exactness oracle.
+
+    A full-domain :func:`realize_region_interp` plus, for reductions, the
+    full-domain :func:`reduce_region_interp` sweep — schedules play no part.
+    """
     if func.value is None and func.reduction is None:
         raise RealizationError(f"function {func.name} has no definition")
-
-    np_shape = tuple(reversed(shape))
+    np_shape = tuple(int(e) for e in reversed(shape))
     if func.value is not None:
-        grids = np.meshgrid(*[np.arange(extent) for extent in np_shape], indexing="ij") \
-            if np_shape else []
-        env = {}
-        for position, var in enumerate(func.variables):
-            # variables are innermost-first; meshgrid axes are outermost-first.
-            env[var.name] = grids[len(np_shape) - 1 - position] if grids else np.asarray(0)
-        env["__var_position__"] = {var.name: position
-                                   for position, var in enumerate(func.variables)}
-        env["__out_shape__"] = np_shape
-        values = _evaluate(func.value, env, buffers, params)
-        output = np.broadcast_to(values, np_shape).copy()
-        output = _wrap_cast(output, func.dtype).astype(func.dtype.to_numpy())
+        output = realize_region_interp(func, (0,) * len(np_shape), np_shape,
+                                       buffers, params)
     else:
         output = np.zeros(np_shape, dtype=func.dtype.to_numpy())
-
     if func.reduction is not None:
         rdom = func.reduction[0]
         source = buffers.get(rdom.source)
@@ -356,30 +424,37 @@ def reduce_region_interp(func: Func, out: np.ndarray,
 def realize_region_interp(func: Func, origin: tuple[int, ...],
                           extent: tuple[int, ...],
                           buffers: Mapping[str, np.ndarray],
-                          params: Mapping[str, float] | None = None) -> np.ndarray:
+                          params: Mapping[str, float] | None = None,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a pure Func over one region via the tree-walking oracle.
 
     ``origin``/``extent`` are in NumPy (outermost-first) axis order; the
     variable grids start at ``origin``, so expressions see the same
-    coordinates a full-frame realization would.  This is the interpreter
-    backend's primitive for executing lowered ``Store`` nodes, and the
+    coordinates a full-frame realization would, and shifted-window loads
+    that stay inside their buffer take the slice fast path.  The result is
+    written into ``out`` (allocated when None) and returned.  This is the
+    interpreter backend's primitive for lowered ``Store`` nodes, and the
     fallback the compiled backend uses when a store kernel cannot be
-    lowered.  The shifted-window fast path is deliberately not engaged —
-    values are identical either way, and the oracle stays obviously correct.
+    lowered.
     """
     if func.value is None:
         raise RealizationError(f"function {func.name} has no pure definition")
     params = params or {}
+    origin = tuple(int(o) for o in origin)
     np_shape = tuple(int(e) for e in extent)
-    grids = np.meshgrid(*[np.arange(int(o), int(o) + int(e))
-                          for o, e in zip(origin, extent)], indexing="ij") \
-        if np_shape else []
-    env = {}
+    rank = len(np_shape)
+    env: dict = {}
     for position, var in enumerate(func.variables):
-        env[var.name] = grids[len(np_shape) - 1 - position] if grids \
-            else np.asarray(0)
+        # variables are innermost-first; axes are outermost-first.
+        axis = rank - 1 - position
+        env[var.name] = np.arange(origin[axis], origin[axis] + np_shape[axis]) \
+            .reshape((1,) * axis + (-1,) + (1,) * (rank - 1 - axis)) \
+            if rank else np.asarray(0)
+    env[_REGION] = ({var.name: position
+                     for position, var in enumerate(func.variables)},
+                    origin, np_shape)
     values = _evaluate(func.value, env, buffers, params)
-    output = np.broadcast_to(values, np_shape).copy()
-    return _wrap_cast(output, func.dtype).astype(func.dtype.to_numpy())
-
-
+    if out is None:
+        out = np.empty(np_shape, dtype=func.dtype.to_numpy())
+    np.copyto(out, _wrap_cast(values, func.dtype), casting="unsafe")
+    return out

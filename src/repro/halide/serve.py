@@ -248,6 +248,8 @@ class PipelineServer:
     def _warm_compile(self, frame_shape: tuple[int, ...] | None) -> None:
         """Pay codegen up front so the serving path never compiles.
 
+        A Func (or a default-scheduled stage) runs one schedule-free kernel
+        whatever its schedule, so compiling it here covers every request.
         A :class:`FuncPipeline` with explicitly scheduled stages executes
         through the lowered loop-nest IR, whose store kernels depend on the
         frame shape; pass ``frame_shape`` (NumPy order) to lower and compile
@@ -267,8 +269,8 @@ class PipelineServer:
                 lowered = None               # legacy fallback: warm below
             if lowered is not None:
                 # The lowered executor only runs store kernels and reduction
-                # update sweeps; the per-stage whole-Func kernels would be
-                # dead weight.
+                # update sweeps; the stage Funcs' own kernels would be dead
+                # weight.
                 for node in lowered.stmt.walk():
                     if isinstance(node, (ReduceLoop, Store)):
                         compile_func(node.func)

@@ -129,6 +129,8 @@ class Let(Stmt):
     name: str
     value: Scalar
     body: Stmt
+    #: Executor memo (the value compiled once; see :class:`Store`).
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def children(self) -> tuple[Stmt, ...]:
@@ -205,6 +207,8 @@ class IfThenElse(Stmt):
     condition: Expr
     then_case: Stmt
     else_case: Optional[Stmt] = None
+    #: Executor memo (the condition compiled once; see :class:`Store`).
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def children(self) -> tuple[Stmt, ...]:
@@ -243,9 +247,9 @@ class Store(Stmt):
     eval_origin: tuple[Scalar, ...]
     param_exprs: dict[str, Scalar] = field(default_factory=dict)
     label: str = ""
-    #: Per-backend evaluator handles, stashed by the executors so repeated
-    #: tiles skip the kernel-cache key computation (lowered trees are
-    #: immutable, so the memo can never go stale).
+    #: Executor memo: per-backend evaluator handles, so repeated tiles skip
+    #: the kernel-cache key computation, and the scalar positions compiled
+    #: once (lowered trees are immutable, so the memo can never go stale).
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _lines(self, indent: int) -> list[str]:
@@ -335,6 +339,8 @@ class PadEdge(Stmt):
     buffer: str
     offset: tuple[Scalar, ...]
     extent: tuple[Scalar, ...]
+    #: Executor memo (the positions compiled once; see :class:`Store`).
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _lines(self, indent: int) -> list[str]:
         pad = "  " * indent

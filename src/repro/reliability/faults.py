@@ -47,8 +47,8 @@ FAULTS_ENV = "REPRO_FAULTS"
 FAULT_SITES = (
     "compile.kernel",          # kernel codegen raises (repro.halide.compile)
     "native.compile",          # native C toolchain invocation fails (backends/native.py)
-    "kernel.execute",          # compiled whole-kernel execution raises
-    "tile.execute",            # one tile's execution raises (parallel.py)
+    "kernel.execute",          # a compiled-engine frame raises (backends/base.py)
+    "tile.execute",            # one parallel-loop iteration raises (backends/base.py)
     "pool.die",                # the shared worker pool is shut down under us
     "serve.latency",           # injected delay in the request path (serve.py)
     "store.corrupt_blob",      # put() persists a corrupted payload

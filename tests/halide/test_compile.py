@@ -16,9 +16,10 @@ from repro.halide import (
     realize_interp,
 )
 from repro.halide.compile import func_signature
+from repro.halide.realize import executed_nests
 from repro.ir import (
-    BinOp, BufferAccess, Call, Cast, Const, Op, Param, Select, Var as IRVar,
-    FLOAT64, INT32, UINT8, UINT32,
+    BinOp, BufferAccess, Call, Cast, Const, For, Op, Param, Select,
+    Var as IRVar, FLOAT64, INT32, UINT8, UINT32,
 )
 
 
@@ -49,15 +50,22 @@ class TestKernelCache:
         assert kernel_cache_stats["misses"] == 1
         assert kernel_cache_stats["hits"] == 2
 
-    def test_schedule_change_recompiles(self):
+    def test_schedule_change_relowers_without_recompiling(self):
+        # Kernels are schedule-free: a new schedule is a new loop nest over
+        # the one cached kernel.
         clear_kernel_cache()
         x, y = x_y()
         func = Func("f", [x, y], dtype=UINT8).define(blur_expr(x, y))
         image = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        realize(func, (8, 8), {"input_1": image}, engine="compiled")
+        untiled = realize(func, (8, 8), {"input_1": image}, engine="compiled")
         func.tile(4, 4)
-        realize(func, (8, 8), {"input_1": image}, engine="compiled")
-        assert kernel_cache_stats["misses"] == 2
+        tiled = realize(func, (8, 8), {"input_1": image}, engine="compiled")
+        np.testing.assert_array_equal(tiled, untiled)
+        assert kernel_cache_stats["misses"] == 1
+        nests = [nest for _out, _src, nest in executed_nests(func)]
+        assert len(nests) == 2
+        assert [any(isinstance(node, For) for node in nest.walk())
+                for nest in nests] == [False, True]
 
     def test_param_values_are_part_of_the_key(self):
         # Structural keys ignore Param values, but the kernel bakes them in

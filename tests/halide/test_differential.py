@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.halide import Func, FuncPipeline, RDom, Var, realize, realize_interp
+from repro.halide import (
+    ENGINES, Func, FuncPipeline, RDom, Var, configure_pool, realize,
+    realize_interp,
+)
+from repro.halide import parallel as parallel_mod
 from repro.ir import (
     BinOp, BufferAccess, Call, Cast, Const, Op, Param, Select, Var as IRVar,
     FLOAT64, INT32, UINT8, UINT16, UINT32,
@@ -64,22 +68,40 @@ def expr_trees(draw, depth=0):
     return BinOp(op, a, b, UINT32)
 
 
+@pytest.fixture(scope="class")
+def fan_out():
+    """A 2-worker pool that fans out even these small frames."""
+    old_elems = parallel_mod.MIN_PARALLEL_ELEMS
+    parallel_mod.MIN_PARALLEL_ELEMS = 1
+    configure_pool(2)
+    yield
+    parallel_mod.MIN_PARALLEL_ELEMS = old_elems
+    configure_pool()
+
+
+@pytest.mark.usefixtures("fan_out")
 class TestRandomTrees:
+    # An untiled draw with ``parallel`` runs serially and says so.
+    @pytest.mark.filterwarnings(
+        "ignore::repro.halide.parallel.ParallelFallbackWarning")
     @settings(max_examples=60, deadline=None)
     @given(tree=expr_trees(), seed=st.integers(0, 2 ** 16),
            dtype=st.sampled_from([UINT8, UINT16, INT32]),
-           tile=st.sampled_from([(0, 0), (8, 8), (5, 16)]))
-    def test_compiled_matches_interp(self, tree, seed, dtype, tile):
+           tile=st.sampled_from([(0, 0), (8, 8), (5, 16)]),
+           engine=st.sampled_from(ENGINES), parallel=st.booleans())
+    def test_compiled_matches_interp(self, tree, seed, dtype, tile, engine,
+                                     parallel):
         x, y = _vars()
         func = Func("f", [x, y], dtype=dtype).define(Cast(dtype, tree))
         func.schedule.tile_x, func.schedule.tile_y = tile
+        func.schedule.parallel = parallel
         rng = np.random.default_rng(seed)
         padded = rng.integers(0, 256, size=(HEIGHT + 2, WIDTH + 2), dtype=np.uint8)
         params = {"param_k": int(rng.integers(1, 99))}
-        compiled = realize(func, (WIDTH, HEIGHT), {"input_1": padded}, params,
-                           engine="compiled")
+        out = realize(func, (WIDTH, HEIGHT), {"input_1": padded}, params,
+                      engine=engine)
         interp = realize_interp(func, (WIDTH, HEIGHT), {"input_1": padded}, params)
-        np.testing.assert_array_equal(compiled, interp)
+        np.testing.assert_array_equal(out, interp)
 
     @settings(max_examples=20, deadline=None)
     @given(shift=st.integers(0, 2), weight=st.integers(1, 5),
@@ -100,10 +122,13 @@ class TestRandomTrees:
         np.testing.assert_array_equal(compiled, interp)
 
 
+@pytest.mark.usefixtures("fan_out")
 class TestReductionDifferential:
     @settings(max_examples=15, deadline=None)
-    @given(bins=st.integers(8, 64), seed=st.integers(0, 999))
-    def test_histogram_matches(self, bins, seed):
+    @given(bins=st.integers(8, 64), seed=st.integers(0, 999),
+           engine=st.sampled_from(ENGINES), parallel=st.booleans(),
+           strip=st.sampled_from([2, 5]))
+    def test_histogram_matches(self, bins, seed, engine, parallel, strip):
         image = np.random.default_rng(seed).integers(
             0, bins, size=(11, 7), dtype=np.uint8)
         x = Var("x_0")
@@ -113,9 +138,12 @@ class TestReductionDifferential:
         update = BinOp(Op.ADD, BufferAccess("hist", [index], UINT32),
                        Const(1, UINT32))
         func.update(rdom, [index], update)
-        compiled = realize(func, (bins,), {"input_1": image}, engine="compiled")
+        # tile_y is the RDom strip height of a parallel (two-phase) sweep.
+        func.schedule.tile_y = strip
+        func.schedule.parallel = parallel
+        out = realize(func, (bins,), {"input_1": image}, engine=engine)
         interp = realize_interp(func, (bins,), {"input_1": image})
-        np.testing.assert_array_equal(compiled, interp)
+        np.testing.assert_array_equal(out, interp)
 
 
 class TestPipelineDifferential:

@@ -400,6 +400,27 @@ class TestFallback:
         monkeypatch.delenv("REPRO_NATIVE_CC")
         reset_native_caches()
 
+    def test_toolchain_resolved_once_per_env_pair(self, monkeypatch):
+        # A frame must not pay a PATH search: the compiler resolves once per
+        # (REPRO_NATIVE_CC, CC) pair, and changing either re-resolves.
+        calls = []
+        which = native_mod.shutil.which
+        monkeypatch.setattr(native_mod.shutil, "which",
+                            lambda name: calls.append(name) or which(name))
+        reset_native_caches()
+        pipeline = _blur2_pipeline()
+        image = _frame(29)
+        pipeline.realize(image, engine="native")
+        first_frame = len(calls)
+        pipeline.realize(image, engine="native")
+        assert 1 <= first_frame <= 3
+        assert len(calls) == first_frame
+        monkeypatch.setenv("CC", "/nonexistent/other-cc")
+        toolchain_path()
+        assert len(calls) == first_frame + 1
+        monkeypatch.undo()
+        reset_native_caches()
+
     def test_registered_and_selectable(self):
         from repro.halide import backend_names
         from repro.halide.realize import ENGINES

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.halide import (
     Func,
+    FuncPipeline,
     PipelineServer,
     RDom,
     Schedule,
@@ -154,6 +155,22 @@ class TestTargetedScenarios:
         np.testing.assert_array_equal(out, oracle)
         assert execution_stats["tile_retries"] >= 1
 
+    @pytest.mark.parametrize("engine", ["compiled", "native"])
+    def test_lowered_pipeline_tile_fault_is_retried(self, engine):
+        # The shared executor retries a failed iteration of a parallel tile
+        # loop; native runs its fan-out through the same retry (and without
+        # a C toolchain degrades to the compiled executor).
+        frame = _frames(1)[0][:HEIGHT, :WIDTH]
+        oracle = FuncPipeline().add(blur_func(), pad=1).realize(
+            frame, engine="interp")
+        pipeline = FuncPipeline().add(tiled_blur().compute_root(), pad=1)
+        reset_execution_stats()
+        with inject("tile.execute:n=1", seed=CHAOS_SEED) as plan:
+            out = pipeline.realize(frame, engine=engine)
+        np.testing.assert_array_equal(out, oracle)
+        assert plan.fired["tile.execute"] == 1
+        assert execution_stats["tile_retries"] >= 1
+
     def test_kernel_fault_degrades_to_the_interp_oracle(self):
         frames = _frames(2)
         batch, server = run_chaos_batch(
@@ -163,6 +180,18 @@ class TestTargetedScenarios:
         assert batch.failed == 0
         stats = server.stats()
         assert stats["degraded"] >= 1
+
+    def test_tile_fault_degrades_to_the_interp_oracle(self):
+        # Every compiled tile fails, its retry too; the interp re-run walks
+        # the same parallel tile loop but fires no fault site, so every
+        # request still comes back as the exact frame.
+        frames = _frames(2)
+        batch, server = run_chaos_batch(
+            FaultPlan.parse("tile.execute:p=1", seed=CHAOS_SEED), frames,
+            retries=0)
+        assert_contract(batch, _oracles(tiled_blur(), frames))
+        assert batch.failed == 0
+        assert server.stats()["degraded"] == len(frames)
 
     def test_pool_death_is_revived(self):
         reset_execution_stats()

@@ -99,7 +99,10 @@ class TestRunExplain:
                      "--height", "48", "--explain", "--tile", "32x16"]) == 0
         out = capsys.readouterr().out
         assert "execution plan:" in out
-        assert "schedule [" in out and "mode serial" in out
-        assert "for output_1.tile_y" in out
-        assert "interior" in out          # loop partitioning is visible
-        assert "lowered pipeline over frame [48, 64]" in out
+        assert "schedule [tile(32,16)" in out and "mode serial" in out
+        # --tile tiles the run itself: the executed nest carries the tile
+        # loops at the run's real output shape.
+        assert "loop nest over output [48, 64]:" in out
+        assert "for output_1.tile_y in [0, 0 + 3)" in out
+        assert "for output_1.tile_x in [0, 0 + 2)" in out
+        assert "output_1.out[(output_1.oy, output_1.ox)" in out
