@@ -164,8 +164,8 @@ def test_fig11_engines_agree(bench_planes_large):
     """All three engines bit-identical on a cropped frame (degraded or not —
     this leg runs on compilerless hosts too)."""
     frame = bench_planes_large["r"][:160, :240]
-    oracle = _two_stage_blur("serial").realize(frame, engine="interp")
+    oracle = _two_stage_blur("serial").realize_interp(frame)
     for mode in ("serial", "parallel"):
-        for engine in ("compiled", "native"):
+        for engine in ("interp", "compiled", "native"):
             np.testing.assert_array_equal(
                 _two_stage_blur(mode).realize(frame, engine=engine), oracle)

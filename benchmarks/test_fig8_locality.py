@@ -133,7 +133,7 @@ def test_fig8_locality_compute_at_vs_root(bench_planes_large):
 def test_fig8_locality_interp_oracle_agreement(bench_planes_large):
     """Both schedules stay bit-identical to the interpreter oracle."""
     frame = bench_planes_large["r"][:160, :240]
-    oracle = _two_stage_blur("none").realize(frame, engine="interp")
+    oracle = _two_stage_blur("none").realize_interp(frame)
     for mode in ("root", "at"):
         for engine in ("interp", "compiled"):
             out = _two_stage_blur(mode).realize(frame, engine=engine)

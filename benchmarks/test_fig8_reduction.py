@@ -81,12 +81,9 @@ def test_fig8_reduction_parallel_vs_serial(bench_planes_large):
     serial = _histogram_pipeline(parallel=False)
     parallel = _histogram_pipeline(parallel=True)
 
-    # Bit-identity: both schedules, both backends, against the legacy
-    # stage-by-stage interpreter oracle.
-    oracle_pipeline = _histogram_pipeline(parallel=False)
-    for stage in oracle_pipeline.stages:
-        stage.func.schedule.compute = "default"
-    oracle = oracle_pipeline.realize(frame, engine="interp")
+    # Bit-identity: both schedules, both backends, against the
+    # schedule-free stage-by-stage interpreter oracle.
+    oracle = _histogram_pipeline(parallel=False).realize_interp(frame)
     for pipeline in (serial, parallel):
         for engine in ("interp", "compiled"):
             np.testing.assert_array_equal(

@@ -4,10 +4,12 @@ The miniGMG benchmark generates its data at runtime, so Helium falls back to
 generic dimensionality inference (no known input/output data to search the
 memory dump for).  The lifted 7-point weighted-Jacobi stencil is then run for
 several iterations on a larger grid and compared against the legacy smoother.
+Exits non-zero when the max |difference| exceeds 1e-12.
 
 Run with:  python examples/minigmg_smooth.py
 """
 
+import sys
 import time
 
 import numpy as np
@@ -20,7 +22,7 @@ from repro.rejuvenation import (
 )
 
 
-def main() -> None:
+def main() -> int:
     print("Lifting the smooth stencil from the miniGMG binary ...")
     result = lift_minigmg_smooth()
     kernel = result.kernels[0]
@@ -41,8 +43,10 @@ def main() -> None:
 
     print(f"legacy smoother: {legacy_s * 1000:8.1f} ms")
     print(f"lifted smoother: {lifted_s * 1000:8.1f} ms   ({legacy_s / lifted_s:.2f}x)")
-    print("max |difference|:", float(np.abs(legacy - lifted).max()))
+    difference = float(np.abs(legacy - lifted).max())
+    print("max |difference|:", difference)
+    return 0 if difference <= 1e-12 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

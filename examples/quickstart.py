@@ -6,11 +6,13 @@ profiling + memory tracing, one detailed instruction trace), expression
 extraction, symbolic lifting and Halide code generation — then validates the
 lifted kernel bit-for-bit against the original program's output, realizes it
 at scale with a parallel tiled schedule, and serves a batch of frames through
-the batched realization service.
+the batched realization service.  Exits non-zero when a printed verdict
+fails (a ``MISMATCH`` or ``bit-identical: False``).
 
 Run with:  PYTHONPATH=src python examples/quickstart.py
 """
 
+import sys
 import time
 
 import numpy as np
@@ -20,7 +22,7 @@ from repro.core import lift_filter
 from repro.halide import FuncPipeline, pool_size
 
 
-def main() -> None:
+def main() -> int:
     app = PhotoshopApp(width=16, height=12, seed=3)
     print("Lifting Photoshop 'blur' from the simulated stripped binary ...")
     result = lift_filter(app, "blur")
@@ -73,7 +75,8 @@ def main() -> None:
     print(f"execution mode:               {func.execution_mode()}")
     print(f"serial realization:           {serial_ms:.1f} ms")
     print(f"parallel realization:         {parallel_ms:.1f} ms")
-    print(f"bit-identical:                {bool((serial_out == parallel_out).all())}")
+    identical = bool((serial_out == parallel_out).all())
+    print(f"bit-identical:                {identical}")
 
     # -- batched serving: many frames through one compiled pipeline --------
     frames = [np.roll(frame, shift, axis=0) for shift in range(8)]
@@ -81,7 +84,8 @@ def main() -> None:
     print(f"\n-- batched realization ({len(frames)} frames) --")
     print(f"wall time:                    {batch.wall_seconds * 1000:.1f} ms")
     print(f"throughput:                   {batch.frames_per_second:.1f} frames/sec")
+    return 0 if all(verdict.values()) and identical else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,7 +4,7 @@ from .buffers import BufferDim, BufferSpec, infer_buffer_generic, infer_buffer_w
 from .codegen import LiftedKernel, generate_funcs, generate_halide_cpp
 from .forward import ForwardAnalysis, forward_analyze
 from .localization import LocalizationError, LocalizationResult, localize
-from .pipeline import HeliumLifter, LiftResult, lift_filter
+from .pipeline import LiftResult, lift_filter
 from .regions import AccessSample, MemoryRegion, reconstruct_regions
 from .session import LiftSession, StageReport, lift_scenario
 from .stages import (
@@ -35,7 +35,7 @@ __all__ = [
     "LiftedKernel", "generate_funcs", "generate_halide_cpp",
     "ForwardAnalysis", "forward_analyze",
     "LocalizationError", "LocalizationResult", "localize",
-    "HeliumLifter", "LiftResult", "lift_filter",
+    "LiftResult", "lift_filter",
     "LiftSession", "StageReport", "lift_scenario",
     "STAGES", "STAGE_VERSIONS",
     "BufferArtifact", "CodegenArtifact", "CoverageArtifact", "ForwardArtifact",

@@ -8,9 +8,9 @@ Halide C++ source text and executable mini-Halide functions, plus a validator
 that replays the lifted kernels against the original run's memory.
 
 The individual stages live in :mod:`repro.core.stages` (each producing a
-typed, serializable artifact); :class:`HeliumLifter` is the always-cold
-driver over those stage functions, and :class:`~repro.core.session.LiftSession`
-is the store-backed driver that can skip any already-computed stage.
+typed, serializable artifact); :class:`~repro.core.session.LiftSession`
+drives them, skipping any stage already in the artifact store, and
+:func:`lift_filter` is its entry point for an application object.
 """
 
 from __future__ import annotations
@@ -26,17 +26,7 @@ from .buffers import BufferSpec
 from .codegen import LiftedKernel, generate_funcs
 from .forward import ForwardAnalysis
 from .localization import LocalizationResult
-from .stages import (
-    TraceRunSnapshot,
-    run_buffers_stage,
-    run_codegen_stage,
-    run_coverage_stage,
-    run_forward_stage,
-    run_localize_stage,
-    run_screen_stage,
-    run_trace_stage,
-    run_trees_stage,
-)
+from .stages import TraceRunSnapshot
 
 
 @dataclass
@@ -123,76 +113,16 @@ class LiftResult:
         return verdict
 
 
-class HeliumLifter:
-    """Runs the full Helium workflow against one application filter.
-
-    Always cold: every call performs all instrumented runs.  For cached,
-    resumable lifts use :class:`~repro.core.session.LiftSession`.
-    """
-
-    def __init__(self, app: Application, filter_name: str, seed: int = 0) -> None:
-        self.app = app
-        self.filter_name = filter_name
-        self.seed = seed
-        self.warnings: list[str] = []
-
-    # -- stage 1: code localization -------------------------------------------
-
-    def run_localization(self) -> LocalizationResult:
-        coverage = run_coverage_stage(self.app, self.filter_name, self.seed)
-        screen = run_screen_stage(self.app, self.filter_name, coverage, self.seed)
-        return run_localize_stage(self.app, coverage, screen)
-
-    # -- stage 2: expression extraction ------------------------------------------
-
-    def run_trace_capture(self, localization: LocalizationResult
-                          ) -> tuple[InstructionTrace, TraceRunSnapshot]:
-        artifact = run_trace_stage(self.app, self.filter_name, localization,
-                                   self.seed)
-        return artifact.trace, artifact.run
-
-    def run_extraction(self, localization: LocalizationResult,
-                       trace: InstructionTrace, trace_run: TraceRunSnapshot):
-        from .stages import TraceArtifact
-
-        trace_artifact = TraceArtifact(trace=trace, run=trace_run)
-        forward_artifact = run_forward_stage(self.app, self.filter_name,
-                                             trace_artifact)
-        buffer_artifact = run_buffers_stage(self.app, self.filter_name,
-                                            trace_artifact, forward_artifact)
-        trees = run_trees_stage(trace_artifact, forward_artifact,
-                                buffer_artifact, self.seed)
-        self.warnings.extend(trees.warnings)
-        return (forward_artifact.forward, buffer_artifact.specs,
-                trees.concrete, trees.kernels)
-
-    # -- whole workflow ---------------------------------------------------------------
-
-    def lift(self) -> LiftResult:
-        localization = self.run_localization()
-        trace, trace_run = self.run_trace_capture(localization)
-        forward, specs, concrete, kernels = self.run_extraction(localization, trace, trace_run)
-        from .stages import TreeArtifact
-
-        codegen = run_codegen_stage(TreeArtifact(concrete=concrete, kernels=kernels))
-        funcs = {kernel.output: generate_funcs(kernel) for kernel in kernels}
-        return LiftResult(app_name=self.app.name, filter_name=self.filter_name,
-                          localization=localization, trace=trace, forward=forward,
-                          buffer_specs=specs, concrete_trees=concrete, kernels=kernels,
-                          funcs=funcs, halide_sources=codegen.halide_sources,
-                          trace_run=trace_run, warnings=list(self.warnings))
-
-
 def lift_filter(app: Application, filter_name: str, seed: int = 0,
                 store=None) -> LiftResult:
     """Run the whole Helium workflow for one filter.
 
     With the default ``store=None`` the lift is cold (every instrumented run
-    is performed); pass an :class:`~repro.store.ArtifactStore` to reuse and
-    populate cached stage artifacts instead.
+    is performed, nothing is persisted); pass an
+    :class:`~repro.store.ArtifactStore` to reuse and populate cached stage
+    artifacts instead.
     """
-    if store is not None:
-        from .session import LiftSession
+    from .session import LiftSession
 
-        return LiftSession(app, filter_name, seed=seed, store=store).run()
-    return HeliumLifter(app, filter_name, seed=seed).lift()
+    return LiftSession(app, filter_name, seed=seed, store=store,
+                       use_store=store is not None).run()

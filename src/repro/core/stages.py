@@ -20,8 +20,8 @@ codegen     symbolic trees -> Halide C++ source text    0 (pure)
 ==========  =========================================  ==================
 
 :class:`~repro.core.session.LiftSession` drives the chain and handles the
-store lookups; :class:`~repro.core.pipeline.HeliumLifter` remains the thin
-always-cold driver built on the same stage functions.
+store lookups (``use_store=False`` for an always-cold lift, which is what
+:func:`~repro.core.pipeline.lift_filter` runs without a store).
 
 Bump a stage's entry in :data:`STAGE_VERSIONS` whenever its output format or
 semantics change; the version participates in every downstream artifact key.

@@ -26,8 +26,9 @@ workload) and persists its winner afterwards, which is what lets
 :class:`~repro.halide.serve.PipelineServer` warm-start at zero timing cost.
 
 :func:`autotune_pipeline` extends the search to multi-stage pipelines, where
-the space also includes each producer's **compute level** — legacy inline
-fusion, ``compute_root``, or ``compute_at`` anchored in its consumer's tile
+the space also includes each producer's **compute level** — ``default``
+(a ghost-ringed full-frame buffer, with pointwise inline fusion),
+``compute_root``, or ``compute_at`` anchored in its consumer's tile
 loop — so the tuner explores the locality/recompute trade-off the lowered
 loop-nest IR (:mod:`repro.halide.lower`) exposes.
 """
@@ -291,8 +292,8 @@ def _sample_pipeline_schedules(pipeline, rng: random.Random) -> list[Schedule]:
     """One random per-stage schedule assignment.
 
     The output stage draws tiles/parallelism like :func:`_sample_schedule`;
-    every producer draws a compute level: ``default`` (legacy stage-by-stage
-    with pointwise inline fusion), ``root``, or — when the consumer can
+    every producer draws a compute level: ``default`` (ghost-ringed
+    full-frame, with pointwise inline fusion), ``root``, or — when the consumer can
     anchor it — ``at`` the consumer's second-innermost variable.
     """
     stages = pipeline.stages

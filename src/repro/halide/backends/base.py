@@ -208,6 +208,30 @@ def _reset_partials(body: Stmt, env: Mapping, buffers: Mapping,
             buffers[node.buffer][_scalar(node.target_index, env, params)] = 0
 
 
+def bind_buffers(lowered, image: np.ndarray, allocate_output: bool) -> dict:
+    """The buffers a lowered pipeline's nest starts from.
+
+    The frame is bound under ``lowered.input_name``, edge-padded once when
+    the first stage reads it through a ghost ring (``lowered.input_ring``).
+    The output is allocated only when ``allocate_output`` is true; a
+    backend whose first whole-frame store can materialize it passes
+    ``not lowered.output_by_store``.
+    """
+    frame = np.asarray(image)
+    if frame.shape != lowered.frame_shape:
+        raise RealizationError(
+            f"lowered pipeline expects frame {lowered.frame_shape}, "
+            f"got {frame.shape}")
+    ring = lowered.input_ring
+    if ring is not None:
+        frame = np.pad(frame, ring, mode="edge")
+    buffers = {lowered.input_name: frame}
+    if allocate_output:
+        buffers[lowered.output] = np.empty(
+            lowered.frame_shape, dtype=lowered.out_dtype.to_numpy())
+    return buffers
+
+
 def run_parallel_loop(stmt: For, env: Mapping, buffers: Mapping,
                       state: _ExecState, start: int, count: int,
                       run_one) -> None:
@@ -302,21 +326,17 @@ class Backend:
                 stats: Optional[dict] = None) -> np.ndarray:
         """Run a :class:`~repro.halide.lower.LoweredPipeline` on one frame.
 
+        The frame and output are bound by :func:`bind_buffers`; the output
+        is left to its first store when that store materializes it.
         ``stats``, when given, is filled with execution counters: stores,
         allocations, per-buffer peak scratch shapes, ``scratch_peak_elems``
         and parallel/serial loop tallies — the numbers the locality
         benchmark and ``--explain`` report.
         """
-        frame = np.asarray(image)
-        if frame.shape != lowered.frame_shape:
-            raise RealizationError(
-                f"lowered pipeline expects frame {lowered.frame_shape}, "
-                f"got {frame.shape}")
-        output = np.empty(lowered.frame_shape,
-                          dtype=lowered.out_dtype.to_numpy())
-        buffers = {lowered.input_name: frame, lowered.output: output}
+        buffers = bind_buffers(lowered, image,
+                               allocate_output=not lowered.output_by_store)
         self.run(lowered.stmt, buffers, params, stats, lowered.frame_shape)
-        return output
+        return buffers[lowered.output]
 
     def run(self, stmt: Stmt, buffers: dict,
             params: Mapping[str, float] | None = None,

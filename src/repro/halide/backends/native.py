@@ -53,7 +53,8 @@ from ...store import ArtifactKey, default_store
 from ..func import vectorize_width
 from ..parallel import choose_tile_executor, record_execution
 from ..realize import RealizationError
-from .base import Backend, _ExecState, _scalar, run_parallel_loop
+from .base import (Backend, _ExecState, _scalar, bind_buffers,
+                   run_parallel_loop)
 from .cgen import CGenError, NestProgram, SegmentSpec, generate_nest
 
 __all__ = ["NativeBackend", "NativeCompileError", "native_stats",
@@ -363,10 +364,6 @@ class NativeBackend(Backend):
                 params: Mapping[str, float] | None = None,
                 stats: Optional[dict] = None) -> np.ndarray:
         frame = np.ascontiguousarray(np.asarray(image))
-        if frame.shape != lowered.frame_shape:
-            raise RealizationError(
-                f"lowered pipeline expects frame {lowered.frame_shape}, "
-                f"got {frame.shape}")
         try:
             bundle = self._program_for(lowered, frame, params or {})
         except InjectedFault:
@@ -374,16 +371,15 @@ class NativeBackend(Backend):
         if bundle is None:
             _bump("degraded")
             return self._compiled().execute(lowered, frame, params, stats)
-        buffers: dict = {lowered.input_name: frame}
-        output = np.empty(lowered.frame_shape,
-                          dtype=lowered.out_dtype.to_numpy())
-        buffers[lowered.output] = output
+        # C segments write into bound buffers only, so the output is
+        # allocated up front even where a Python store would materialize it.
+        buffers = bind_buffers(lowered, frame, allocate_output=True)
         state = _NativeState(params=dict(params or {}), stats=stats,
                              frame_shape=lowered.frame_shape,
                              bundle=bundle)
         self._exec(lowered.stmt, {}, buffers, state)
         _bump("native_frames")
-        return output
+        return buffers[lowered.output]
 
     def _exec(self, stmt, env, buffers, state) -> None:
         bundle = getattr(state, "bundle", None)

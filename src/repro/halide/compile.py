@@ -58,6 +58,7 @@ from ..ir import (
 from ..ir.simplify import _trunc_div
 from ..reliability.faults import fault_point
 from .func import Func
+from .lower import _shift_of_index
 from .parallel import reset_fallback_warnings
 from .realize import (
     RealizationError,
@@ -765,19 +766,6 @@ class _DomainEmitter:
 
     def _emit_compute(self, node: Expr, code: str, shaped_like: Expr) -> None:
         self._store(node, code, owned=True, full=self._peek(shaped_like).full)
-
-
-def _shift_of_index(index: Expr) -> Optional[tuple[str, int]]:
-    """Match ``var``, ``var + c`` or ``c + var``; None for anything else."""
-    if isinstance(index, Var):
-        return index.name, 0
-    if isinstance(index, BinOp) and index.op == Op.ADD:
-        a, b = index.a, index.b
-        if isinstance(a, Var) and isinstance(b, Const) and isinstance(b.value, int):
-            return a.name, int(b.value)
-        if isinstance(b, Var) and isinstance(a, Const) and isinstance(a.value, int):
-            return b.name, int(a.value)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class StageFeatures:
     """Deterministic per-stage features the cost terms are computed from."""
 
     name: str
-    #: "output" | "root" | "at" | "default" (legacy full-frame stage).
+    #: The lowering's level: "output" | "default" | "root" | "at".
     level: str
     #: The lowering could not honour the requested level (or a parallel
     #: request has no legal decomposition).
@@ -189,35 +189,18 @@ def _frame_points(frame_shape: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _legacy_stage_features(stage, np_shape: Sequence[int],
-                           is_output: bool, demoted: bool) -> StageFeatures:
-    """Features of one stage on the legacy full-frame path."""
-    func = stage.func
-    points = _frame_points(np_shape)
-    tiles = _tile_count(np_shape, func.schedule)
-    width = _effective_parallel_width(func, np_shape, tiles)
-    strips = 0.0
-    if func.reduction is not None:
-        strips = width if width > 1 else 1.0
-    return StageFeatures(
-        name=stage.name,
-        level="default",
-        demoted=demoted,
-        points=points,
-        work_per_point=expression_work(func),
-        bytes_per_point=float(getattr(func.dtype, "size", 1) or 1),
-        resident_bytes=points * float(getattr(func.dtype, "size", 1) or 1),
-        refills=0.0,
-        tile_count=tiles,
-        parallel_width=width,
-        reduction_strips=strips,
-        intermediate=not is_output,
-    )
+def extract_pipeline_features(pipeline, frame_shape: Sequence[int]
+                              ) -> tuple[list[StageFeatures], int]:
+    """Features of the pipeline *as currently scheduled*, from the
+    lowering's own :class:`StageDecision` metadata.
 
-
-def _lowered_stage_features(pipeline, lowered,
-                            frame_shape: Sequence[int]) -> list[StageFeatures]:
-    """Features from the lowering's own :class:`StageDecision` metadata."""
+    Returns ``(features, demotions)`` where ``demotions`` counts stages
+    whose requested compute level the lowering did not honour.  A pipeline
+    the nest cannot express raises
+    :class:`~repro.halide.lower.PipelineLoweringError`.
+    """
+    frame_shape = tuple(int(d) for d in frame_shape)
+    lowered = pipeline.lower(frame_shape)
     features: list[StageFeatures] = []
     stages = pipeline.stages
     frame_points = _frame_points(frame_shape)
@@ -242,7 +225,6 @@ def _lowered_stage_features(pipeline, lowered,
             points = scratch_points * refills
             resident = scratch_points * itemsize
         else:
-            scratch_points = frame_points
             refills = 0.0
             points = frame_points
             resident = frame_points * itemsize
@@ -265,46 +247,7 @@ def _lowered_stage_features(pipeline, lowered,
             reduction_strips=strips,
             intermediate=not is_output,
         ))
-    return features
-
-
-def extract_pipeline_features(pipeline, frame_shape: Sequence[int]
-                              ) -> tuple[list[StageFeatures], int]:
-    """Features of the pipeline *as currently scheduled*.
-
-    Returns ``(features, demotions)`` where ``demotions`` counts stages
-    whose requested compute level the execution path will not honour — via
-    the lowering's own decision report when the pipeline lowers, or the
-    count of ignored root/at requests when it falls back to the legacy
-    path (:class:`~repro.halide.lower.PipelineLoweringError`).
-    """
-    frame_shape = tuple(int(d) for d in frame_shape)
-    if pipeline.uses_lowering():
-        from .lower import PipelineLoweringError
-
-        try:
-            lowered = pipeline.lower(frame_shape)
-        except PipelineLoweringError:
-            lowered = None
-        if lowered is not None:
-            features = _lowered_stage_features(pipeline, lowered, frame_shape)
-            return features, sum(1 for f in features if f.demoted)
-        # Legacy fallback: every explicit compute level is silently ignored.
-        features = []
-        demotions = 0
-        for index, stage in enumerate(pipeline.stages):
-            requested = stage.func.schedule.compute in ("root", "at")
-            if requested:
-                demotions += 1
-            features.append(_legacy_stage_features(
-                stage, frame_shape, index == len(pipeline.stages) - 1,
-                demoted=requested))
-        return features, demotions
-    features = [_legacy_stage_features(stage, frame_shape,
-                                       index == len(pipeline.stages) - 1,
-                                       demoted=False)
-                for index, stage in enumerate(pipeline.stages)]
-    return features, 0
+    return features, sum(1 for f in features if f.demoted)
 
 
 def extract_func_features(func: Func, np_shape: Sequence[int],

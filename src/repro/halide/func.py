@@ -105,11 +105,14 @@ class Schedule:
     ``compute`` places the Func in a pipeline (its *materialization level*,
     consumed by :mod:`repro.halide.lower`):
 
-    * ``"default"`` — legacy stage-by-stage realization (full-frame, padded
-      inputs); eligible for pointwise ``compute_inline`` fusion via
+    * ``"default"`` — materialized full-frame, reading its full-frame input
+      in padded coordinates through an edge ghost ring of the stage's
+      padding (the app wrappers' ``np.pad``, expressed in the loop nest);
+      eligible for pointwise ``compute_inline`` fusion via
       :meth:`FuncPipeline.fused`.
-    * ``"root"`` — explicitly materialized full-frame through the lowered
-      loop-nest IR (:func:`Func.compute_root`).
+    * ``"root"`` — explicitly materialized full-frame, with clamped
+      (loop-partitioned) borders instead of a ghost ring
+      (:func:`Func.compute_root`).
     * ``"at"`` — materialized into a tile-plus-ghost-zone scratch buffer
       once per iteration of the consumer loop named by ``compute_at``
       (:func:`Func.compute_at`); ``compute_at`` is ``(consumer_name,
@@ -242,13 +245,15 @@ class Func:
         return self
 
     def compute_root(self) -> "Func":
-        """Materialize this Func full-frame through the lowered loop nest.
+        """Materialize this Func full-frame, with clamped borders.
 
-        In a :class:`~repro.halide.pipeline.FuncPipeline`, an explicit
-        ``compute_root`` stage is realized via the lowered ``Stmt`` IR
-        (:mod:`repro.halide.lower`): one full-frame buffer, borders handled
-        by clamped ghost reads instead of input padding.  Bit-identical to
-        the legacy padded stage-by-stage path.
+        In a :class:`~repro.halide.pipeline.FuncPipeline` (lowered by
+        :mod:`repro.halide.lower`), an explicit ``compute_root`` stage gets
+        one full-frame buffer and handles its borders by clamped ghost reads
+        — a pure-shift interior store plus thin clamped border slabs —
+        instead of reading a ghost-ringed input the way a ``default`` stage
+        does.  Bit-identical to
+        :meth:`~repro.halide.pipeline.FuncPipeline.realize_interp`.
         """
         self.schedule.compute = "root"
         self.schedule.compute_at = None

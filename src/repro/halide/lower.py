@@ -2,36 +2,45 @@
 
 This is the layer a Halide-style compiler inserts between the scheduled
 front end and its backends.  :func:`lower_pipeline` takes a
-:class:`~repro.halide.pipeline.FuncPipeline` whose stages carry explicit
-compute levels (``compute_root`` / ``compute_at``) and produces a
+:class:`~repro.halide.pipeline.FuncPipeline` and produces a
 :class:`LoweredPipeline`: a :class:`~repro.ir.stmt.Stmt` tree that any
 backend (:mod:`repro.halide.backends`) can execute, plus a per-stage report
-of the scheduling decisions actually taken.
+of the scheduling decisions actually taken.  Every pipeline realization
+runs such a nest.
 
-The lowering performs **interval-based bounds inference**: required regions
-are propagated consumer -> producer through each stage's stencil footprint
-(the per-axis min/max of its shifted-window taps, with the stage's edge
-padding folded in), so a ``compute_at`` producer materializes exactly the
+A stage at the ``default`` compute level reads a full-frame input — the
+frame itself or the output of a root or default producer — exactly as the
+app wrappers did with ``np.pad(..., mode="edge")``, expressed in the nest:
+that buffer is allocated with an edge *ghost ring* of the stage's
+``pad``/``pad_width``, one :class:`~repro.ir.stmt.PadEdge` fills the ring
+once the buffer is produced (the frame is edge-padded once, on entry to the
+backend's ``execute``), and the stage's Func runs unchanged in padded
+coordinates: one ``Store`` per region — its tile loops when tiled — or, for
+a reduction, an init store plus the update sweep over the padded domain.
+
+Explicit compute levels (``compute_root`` / ``compute_at``) get
+**interval-based bounds inference**: required regions are propagated
+consumer -> producer through each stage's stencil footprint (the per-axis
+min/max of its shifted-window taps, with the stage's edge padding folded
+in), so a ``compute_at`` producer materializes exactly the
 tile-plus-ghost-zone region its consumer tile reads — never the full frame.
-Borders are handled by *clamping* instead of input padding: a region that
-pokes outside the frame is clamped to the frame and the missing ghost rows
-are edge-replicated (:class:`~repro.ir.stmt.PadEdge`), which is
-bit-identical to the ``np.pad(..., mode="edge")`` the legacy stage-by-stage
-realizer applies.  Tiles whose footprint stays inside the frame take a
+Their borders are handled by *clamping* instead of input padding: a region
+that pokes outside the frame is clamped to the frame and the missing ghost
+rows are edge-replicated (:class:`~repro.ir.stmt.PadEdge`), bit-identical
+to edge padding.  Tiles whose footprint stays inside the frame take a
 pure-shift fast path; border tiles take a clamped-index path — the
 :class:`~repro.ir.stmt.IfThenElse` split Halide calls loop partitioning.
 
 Reduction (RDom) stages are first-class lowered stages: the pure initializer
 becomes an ordinary :class:`~repro.ir.stmt.Store`, the update becomes a
-:class:`~repro.ir.stmt.ReduceLoop` sweep over the RDom source (whose extents
-fold into the required region exactly like a stencil footprint — the whole
-source domain), and associative accumulations scheduled ``parallel`` lower
-to a **two-phase schedule**: disjoint source strips fill private partial
-accumulators under a parallel :class:`~repro.ir.stmt.For`, then a
-deterministic serial merge loop (:class:`~repro.ir.stmt.AccumMerge`) folds
-the partials into the output.  Non-associative updates (scatter-assign,
-float accumulation) keep a single serialized whole-domain sweep —
-bit-identical to the interpreter oracle by construction.
+:class:`~repro.ir.stmt.ReduceLoop` sweep over the RDom source (the stage's
+whole, ghost-ringed input), and associative accumulations scheduled
+``parallel`` lower to a **two-phase schedule**: disjoint source strips fill
+private partial accumulators under a parallel :class:`~repro.ir.stmt.For`,
+then a deterministic serial merge loop (:class:`~repro.ir.stmt.AccumMerge`)
+folds the partials into the output.  Non-associative updates
+(scatter-assign, float accumulation) keep a single serialized whole-domain
+sweep — bit-identical to the interpreter oracle by construction.
 
 A single Func lowers through :func:`lower_func` — the nest
 :func:`repro.halide.realize.realize` executes on every engine: one store
@@ -42,10 +51,10 @@ What demotes to ``compute_root`` (recorded in the report): taps into the
 producer that are not axis-aligned shifted windows (no finite footprint to
 infer bounds from), ``compute_at`` requests on or into a reduction stage
 (an accumulator materializes whole, and its consumer reads whole frames),
-and anchor names that do not match the consuming stage.  What still falls
-back to the legacy stage-by-stage path (:class:`PipelineLoweringError`):
-reduction stages whose RDom does not range over the stage's own input at
-frame rank, or that pad their input.
+and anchor names that do not match the consuming stage.  What the nest
+cannot express raises :class:`PipelineLoweringError`: a stage whose rank
+differs from the frame's, and a reduction whose RDom does not range over
+the stage's own input at frame rank.
 """
 
 from __future__ import annotations
@@ -80,8 +89,10 @@ from .parallel import warn_serial_fallback
 
 
 class PipelineLoweringError(Exception):
-    """The pipeline cannot be lowered (e.g. reduction stages); callers fall
-    back to the legacy stage-by-stage realization path."""
+    """The pipeline's geometry cannot be expressed as a loop nest over its
+    frame (a rank-changing stage, or an RDom over a buffer that is not the
+    stage input); ``FuncPipeline.realize``/``describe`` and a
+    ``PipelineServer`` given a ``frame_shape`` raise it."""
 
 
 #: Default strip height for ``compute_at`` under an untiled consumer: the
@@ -257,6 +268,19 @@ def _pad_pairs(stage, rank: int) -> list[tuple[int, int]]:
                 f"stage {stage.name}: pad_width {pw!r} does not match rank {rank}")
         return [(int(b), int(a)) for b, a in pw]
     return [(int(stage.pad), int(stage.pad))] * rank
+
+
+def _ringed(shape: Sequence[int], ring) -> tuple[int, ...]:
+    """``shape`` grown by a per-axis ``(before, after)`` ghost ring."""
+    return tuple(d + b + a for d, (b, a) in zip(shape, ring))
+
+
+def _out_offset(ctx: "_StageCtx", origin: Sequence) -> tuple:
+    """Where a region at frame ``origin`` lands in ``ctx``'s output buffer
+    (shifted past the ghost ring's leading edge when it has one)."""
+    if ctx.out_ring is None:
+        return tuple(origin)
+    return tuple(_add(o, b) for o, (b, _a) in zip(origin, ctx.out_ring))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +470,7 @@ class StageDecision:
 
     name: str
     func_name: str
-    level: str                         # 'output', 'root' or 'at'
+    level: str                         # 'output', 'default', 'root' or 'at'
     anchor: Optional[tuple[str, str]] = None
     requested: str = "default"
     demoted_reason: Optional[str] = None
@@ -457,6 +481,10 @@ class StageDecision:
     #: ``"two-phase (10 strips x 64 rows + serial merge)"`` or
     #: ``"serial whole-domain sweep"``.
     reduction: Optional[str] = None
+    #: Per NumPy axis ``(before, after)`` edge ghost ring around the
+    #: full-frame input this stage reads in padded coordinates (None when
+    #: it reads through clamped stores or compute_at scratch).
+    ghost_ring: Optional[list[tuple[int, int]]] = None
 
     def describe(self) -> str:
         parts = [f"{self.name}: {self.level}"]
@@ -465,6 +493,9 @@ class StageDecision:
                         f"{self.anchor[1]})")
         elif self.level == "root":
             parts[0] = f"{self.name}: compute_root"
+        if self.ghost_ring is not None and any(map(any, self.ghost_ring)):
+            ring = "x".join(f"[{b},{a}]" for b, a in self.ghost_ring)
+            parts.append(f"reads its input through edge ghost ring {ring}")
         if self.footprint is not None:
             ghost = "x".join(f"[{lo},{hi}]" for lo, hi in self.footprint)
             parts.append(f"consumer footprint {ghost}")
@@ -488,8 +519,14 @@ class _StageCtx:
     output_buffer: str                 # resolved buffer id this stage writes
     pad_before: list[int]
     footprint: _Footprint              # taps into its own input
-    level: str                         # 'output' | 'root' | 'at'
+    level: str                         # 'output' | 'default' | 'root' | 'at'
     decision: StageDecision = None
+    #: Per-axis (before, after) pads when the stage runs its Func in padded
+    #: coordinates over a ghost-ringed full-frame input; None otherwise.
+    in_ring: Optional[list[tuple[int, int]]] = None
+    #: The ghost ring around this stage's output buffer (its reader's
+    #: non-zero ``in_ring``); None when the buffer has no ring.
+    out_ring: Optional[list[tuple[int, int]]] = None
 
 
 @dataclass
@@ -502,10 +539,27 @@ class LoweredPipeline:
     frame_shape: tuple[int, ...]       # NumPy order
     out_dtype: object
     decisions: list[StageDecision] = field(default_factory=list)
+    #: The output is first written by one whole-frame store at the top of
+    #: the nest, which may allocate it itself; otherwise ``execute`` binds
+    #: it before running.  (Allocating a frame-sized destination ahead of a
+    #: store's temporaries put fresh pages under every frame.)
+    output_by_store: bool = False
+
+    @property
+    def input_ring(self) -> Optional[tuple[tuple[int, int], ...]]:
+        """Per-axis (before, after) edge padding the frame gets on entry:
+        the first stage's ghost ring, or None when it reads no ring."""
+        ring = self.decisions[0].ghost_ring if self.decisions else None
+        if ring is None or not any(map(any, ring)):
+            return None
+        return tuple(ring)
 
     def describe(self) -> str:
         """Per-stage scheduling decisions plus the lowered loop nest."""
         lines = [f"lowered pipeline over frame {list(self.frame_shape)}"]
+        if self.input_ring is not None:
+            ring = "x".join(f"[{b},{a}]" for b, a in self.input_ring)
+            lines[0] += f", {self.input_name} edge-padded by {ring} on entry"
         for decision in self.decisions:
             lines.append("  " + decision.describe())
         lines.append("loop nest:")
@@ -535,15 +589,15 @@ class _Lowerer:
             func = stage.func
             if func.reduction is None and func.value is None:
                 raise PipelineLoweringError(
-                    f"stage {stage.name} has no definition; the legacy "
-                    "realization path handles it")
+                    f"stage {stage.name} has no definition")
             if len(func.variables) != self.rank:
                 raise PipelineLoweringError(
-                    f"stage {stage.name} rank {len(func.variables)} != frame "
-                    f"rank {self.rank}")
+                    f"stage {stage.name} has rank {len(func.variables)}, the "
+                    f"frame rank {self.rank}: the loop nest runs every stage "
+                    "over the frame")
             pad_before = [pair[0] for pair in _pad_pairs(stage, self.rank)]
             if func.reduction is not None:
-                self._check_reduction_lowerable(stage, func, pad_before)
+                self._check_reduction_lowerable(stage, func)
                 # A reduction reads its whole input domain: no finite stencil
                 # footprint, and nothing upstream can compute_at into it.
                 footprint = _Footprint([0] * self.rank, [0] * self.rank,
@@ -561,7 +615,8 @@ class _Lowerer:
             schedule = ctx.func.schedule
             requested = schedule.compute
             is_last = index == len(contexts) - 1
-            level, reason, anchor = "root", None, None
+            level = "default" if requested == "default" else "root"
+            reason, anchor = None, None
             if is_last:
                 level = "output"
                 if requested == "at":
@@ -692,48 +747,75 @@ class _Lowerer:
         self._demote_unsafe_regions(contexts)
         frame_input = contexts[0].stage.input_name
 
-        # Buffer naming: frame input feeds stage 0; every root stage gets a
-        # full-frame intermediate; compute_at stages get per-region scratch.
+        # Buffer naming: frame input feeds stage 0; every root or default
+        # stage gets a full-frame intermediate; compute_at stages get
+        # per-region scratch.
         for index, ctx in enumerate(contexts):
             ctx.input_buffer = frame_input if index == 0 \
                 else contexts[index - 1].output_buffer
             if ctx.level == "output":
                 ctx.output_buffer = f"{ctx.stage.name}.out"
-            elif ctx.level == "root":
+            elif ctx.level in ("root", "default"):
                 ctx.output_buffer = f"{ctx.stage.name}.root#{index}"
             else:
                 ctx.output_buffer = f"{ctx.stage.name}.scratch#{index}"
             ctx.decision.buffer = ctx.output_buffer
+            # Default-level stages (and reductions, which sweep their whole
+            # padded input) read a full-frame input in padded coordinates;
+            # its buffer carries their pads as an edge ghost ring.
+            full_frame_input = index == 0 or contexts[index - 1].level != "at"
+            if full_frame_input and (ctx.func.schedule.compute == "default"
+                                     or ctx.func.reduction is not None):
+                ctx.in_ring = _pad_pairs(ctx.stage, self.rank)
+                ctx.decision.ghost_ring = ctx.in_ring
+                if index and any(map(any, ctx.in_ring)):
+                    contexts[index - 1].out_ring = ctx.in_ring
 
-        groups = self._group(contexts)
-
-        # Build back to front so each root group wraps everything after it.
+        # Build front to back: each full-frame buffer is allocated around
+        # what produces it and the one group that consumes it, so it is
+        # freed as soon as that consumer has run.
         stmt: Optional[Stmt] = None
-        for consumer, at_chain in reversed(groups):
+        producer: Optional[_StageCtx] = None
+        for consumer, at_chain in self._group(contexts):
             group_stmt = self._lower_group(consumer, at_chain)
-            if stmt is None:
+            if producer is None:
                 stmt = group_stmt
             else:
+                shape, ring = self.frame_shape, producer.out_ring
+                if ring is not None:
+                    shape = _ringed(shape, ring)
+                    stmt = Block([stmt, PadEdge(
+                        producer.output_buffer, tuple(b for b, _ in ring),
+                        self.frame_shape)])
                 stmt = Allocate(
-                    consumer.output_buffer, consumer.func.dtype,
-                    tuple(self.frame_shape),
-                    Block([ProducerConsumer(consumer.stage.name,
-                                            group_stmt, stmt)]))
+                    producer.output_buffer, producer.func.dtype, shape,
+                    Block([ProducerConsumer(producer.stage.name, stmt,
+                                            group_stmt)]))
+            producer = consumer
+        # An output stage that starts with one whole-frame store lets that
+        # store materialize the output after its own temporaries, as a
+        # NumPy expression would (see ``LoweredPipeline.output_by_store``).
+        first = group_stmt.stmts[0] if isinstance(group_stmt, Block) \
+            else group_stmt
+        output_by_store = (isinstance(first, Store)
+                           and first.buffer == producer.output_buffer
+                           and not any(first.offset)
+                           and tuple(first.extent) == self.frame_shape)
         return LoweredPipeline(
             stmt=stmt, input_name=frame_input,
             output=contexts[-1].output_buffer,
             frame_shape=self.frame_shape,
             out_dtype=contexts[-1].func.dtype,
-            decisions=[ctx.decision for ctx in contexts])
+            decisions=[ctx.decision for ctx in contexts],
+            output_by_store=output_by_store)
 
     # -- group lowering ------------------------------------------------------
 
     # -- reduction stages ----------------------------------------------------
 
-    def _check_reduction_lowerable(self, stage, func: Func,
-                                   pad_before: Sequence[int]) -> None:
+    def _check_reduction_lowerable(self, stage, func: Func) -> None:
         """Raise :class:`PipelineLoweringError` for reduction geometries the
-        loop-nest IR cannot express (the legacy path still realizes them)."""
+        loop-nest IR cannot express."""
         rdom = func.reduction[0]
         if rdom.source != stage.input_name:
             raise PipelineLoweringError(
@@ -743,11 +825,6 @@ class _Lowerer:
             raise PipelineLoweringError(
                 f"reduction stage {stage.name}: RDom rank {rdom.dimensions} "
                 f"!= frame rank {self.rank}")
-        if any(pad != 0 for pad in pad_before) or stage.pad != 0 \
-                or stage.pad_width is not None:
-            raise PipelineLoweringError(
-                f"reduction stage {stage.name}: padded inputs would change "
-                "the RDom extents")
 
     def _reduction_update_func(self, ctx: _StageCtx) -> Func:
         """The reduction update retargeted to the lowered buffer names.
@@ -780,40 +857,58 @@ class _Lowerer:
     def _lower_reduction(self, ctx: _StageCtx) -> Stmt:
         """Init store + update sweep(s) for one reduction stage.
 
-        Associative accumulations scheduled ``parallel`` take the two-phase
-        form: a parallel loop fills one private partial accumulator per RDom
-        row strip (``Allocate`` with an identity fill), then a serial merge
-        loop folds the partials into the initialized output — bit-identical
-        to the serial whole-domain sweep because wrapping integer addition
-        is associative and commutative.  Everything else (non-associative
+        Both run in padded coordinates: the init store over the frame, the
+        sweep over the whole ghost-ringed input (the RDom domain an
+        ``np.pad``-ed input would have).  Associative accumulations
+        scheduled ``parallel`` take the two-phase form: a parallel loop
+        fills one private partial accumulator per RDom row strip
+        (``Allocate`` with an identity fill), then a serial merge loop folds
+        the partials into the initialized output — bit-identical to the
+        serial whole-domain sweep because wrapping integer addition is
+        associative and commutative.  Everything else (non-associative
         updates, serial schedules, single-strip domains) keeps the one
-        serialized whole-domain ``ReduceLoop`` the oracle runs.
+        serialized whole-domain ``ReduceLoop`` the oracle runs.  When the
+        consumer needs a ghost ring around the accumulator, the stage
+        accumulates into a ring-free scratch copy first (scatter indices
+        address the frame) and stores it into the ringed buffer.
         """
         rank = self.rank
         func = ctx.func
+        target = ctx.output_buffer if ctx.out_ring is None \
+            else f"{ctx.stage.name}.acc#{ctx.index}"
         init_value = func.value if func.value is not None else Const(0, INT32)
         init_func = Func(name=func.name, variables=list(func.variables),
                          value=init_value, dtype=func.dtype,
                          inputs=list(func.inputs))
         init_ctx = _StageCtx(
             index=ctx.index, stage=ctx.stage, func=init_func,
-            input_buffer=ctx.input_buffer, output_buffer=ctx.output_buffer,
-            pad_before=ctx.pad_before,
-            footprint=_stage_footprint(init_func, ctx.stage.input_name,
-                                       ctx.pad_before),
-            level=ctx.level, decision=ctx.decision)
+            input_buffer=ctx.input_buffer, output_buffer=target,
+            pad_before=ctx.pad_before, footprint=ctx.footprint,
+            level=ctx.level, decision=ctx.decision, in_ring=ctx.in_ring)
         init = self._store_global(init_ctx, [0] * rank,
                                   list(self.frame_shape), _Lets(),
                                   static=True)
 
         update_func = self._reduction_update_func(ctx)
         sweep, description = _reduction_sweep(
-            func, update_func, ctx.output_buffer,
+            func, update_func, target,
             f"{ctx.stage.name}.partials#{ctx.index}",
-            self.frame_shape, self.frame_shape,
+            self.frame_shape, _ringed(self.frame_shape, ctx.in_ring),
             ctx.stage.name, f"s{ctx.index}.r")
         ctx.decision.reduction = description
-        return Block([init, sweep])
+        if ctx.out_ring is None:
+            return Block([init, sweep])
+        copy = Func(name=f"{ctx.stage.name}#{ctx.index}.ring",
+                    variables=list(func.variables),
+                    value=BufferAccess(target, list(func.variables),
+                                       func.dtype),
+                    dtype=func.dtype)
+        store = Store(buffer=ctx.output_buffer,
+                      offset=_out_offset(ctx, [0] * rank),
+                      extent=self.frame_shape, func=copy,
+                      eval_origin=(0,) * rank, label="ring")
+        return Allocate(target, func.dtype, self.frame_shape,
+                        Block([init, sweep, store]))
 
     # -- pure-stage group lowering -------------------------------------------
 
@@ -956,15 +1051,22 @@ class _Lowerer:
                                       vectorize=ctx.func.schedule.vectorize))
 
     def _variant_funcs(self, ctx: _StageCtx):
-        """A memoizing ``func_for(variant)`` over the two store rewrites
-        (pure-shift interior vs clamped border) of one stage."""
+        """A memoizing ``func_for(variant)`` over the store rewrites of one
+        stage: pure-shift interior, clamped border, or — ``"padded"`` — the
+        stage's own taps into its ghost-ringed input."""
         cache: dict[str, Func] = {}
 
         def func_for(variant: str) -> Func:
             func = cache.get(variant)
             if func is None:
-                expr = self._shift_expr(ctx) if variant == "interior" \
-                    else self._clamped_expr(ctx)
+                if variant == "padded":
+                    expr = _rename_buffers(
+                        ctx.func.value,
+                        {ctx.stage.input_name: ctx.input_buffer})
+                elif variant == "interior":
+                    expr = self._shift_expr(ctx)
+                else:
+                    expr = self._clamped_expr(ctx)
                 func = self._store_func(ctx, expr, variant)
                 cache[variant] = func
             return func
@@ -1051,16 +1153,19 @@ class _Lowerer:
     def _store_global(self, ctx: _StageCtx, origin: list, extent: list,
                       lets: "_Lets", static: bool = False) -> Stmt:
         """Store a stage over a region of its full-frame output buffer,
-        reading its (full-frame) input in global coordinates."""
+        reading its (full-frame) input in global coordinates — or, with an
+        ``in_ring``, in the padded coordinates of its ghost-ringed input."""
         fp = ctx.footprint
         target = ctx.output_buffer
         func_for = self._variant_funcs(ctx)
 
         def make_store(o, e, variant, label):
-            return Store(buffer=target, offset=tuple(o), extent=tuple(e),
-                         func=func_for(variant), eval_origin=tuple(o),
-                         label=label)
+            return Store(buffer=target, offset=_out_offset(ctx, o),
+                         extent=tuple(e), func=func_for(variant),
+                         eval_origin=tuple(o), label=label)
 
+        if ctx.in_ring is not None:
+            return make_store(origin, extent, "padded", "padded")
         if not fp.reads_input:
             return make_store(origin, extent, "interior", "pointwise")
         if not fp.stencil:
@@ -1205,7 +1310,8 @@ class _Lowerer:
                          producer.output_buffer, delta_by_pos=delta,
                          var_params=var_params)
         params = _used_params(expr, param_candidates)
-        return Store(buffer=consumer.output_buffer, offset=tuple(origin),
+        return Store(buffer=consumer.output_buffer,
+                     offset=_out_offset(consumer, origin),
                      extent=tuple(extent),
                      func=self._store_func(consumer, expr, "consume"),
                      eval_origin=tuple([0] * self.rank),
@@ -1271,11 +1377,10 @@ def lower_func(func: Func, out_shape: Sequence[int],
 
 
 def lower_pipeline(pipeline, frame_shape: Sequence[int]) -> LoweredPipeline:
-    """Lower a scheduled :class:`FuncPipeline` over a frame of this shape.
+    """Lower a :class:`FuncPipeline` over a frame of this shape.
 
     ``frame_shape`` is in NumPy (outermost-first) order.  Raises
     :class:`PipelineLoweringError` when the pipeline cannot be expressed in
-    the loop-nest IR (reduction stages); the caller falls back to the legacy
-    stage-by-stage path.
+    the loop-nest IR (see the module docstring).
     """
     return _Lowerer(pipeline, tuple(frame_shape)).lower()

@@ -15,6 +15,7 @@ materializes the intermediate image at all.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..ir import BufferAccess, Cast, Expr, canonicalize, substitute
 from .func import Func, vectorize_width
-from .realize import realize
+from .realize import get_default_engine, realize_interp
 
 
 @dataclass
@@ -144,22 +145,26 @@ def inline_producer(consumer: Func, consumer_input: str, producer: Func) -> Func
 
 
 class FuncPipeline:
-    """A pipeline of lifted Funcs realized stage by stage, with IR fusion.
+    """A pipeline of lifted Funcs lowered to one loop nest, with IR fusion.
 
-    Stages carrying an explicit compute level (``func.compute_root()`` /
-    ``func.compute_at(consumer, var)``) are realized through the lowered
-    loop-nest IR (:mod:`repro.halide.lower`): bounds are inferred consumer
-    to producer, borders are clamped instead of padded, ``compute_at``
-    producers materialize into tile-plus-ghost-zone scratch buffers instead
-    of full-frame temporaries, and reduction (RDom) stages lower to an init
-    store plus update sweeps — with parallel partial accumulators for
-    associative accumulations.  Default-scheduled stages keep the legacy
-    padded stage-by-stage path; both are bit-identical.
+    Every realization lowers the pipeline over the frame shape
+    (:mod:`repro.halide.lower`) and runs the nest on the selected backend.
+    Default-level stages read full-frame inputs carrying an edge ghost ring
+    of their ``pad`` (the app wrappers' ``np.pad``, expressed in the nest);
+    stages with an explicit compute level (``func.compute_root()`` /
+    ``func.compute_at(consumer, var)``) get bounds inferred consumer to
+    producer with clamped borders, and ``compute_at`` producers materialize
+    into tile-plus-ghost-zone scratch buffers instead of full-frame
+    temporaries.  Reduction (RDom) stages lower to an init store plus update
+    sweeps — with parallel partial accumulators for associative
+    accumulations.  :meth:`realize_interp` is the schedule-free oracle all
+    of them are bit-identical to.
     """
 
     def __init__(self, stages: Sequence[FuncStage] | None = None) -> None:
         self.stages: list[FuncStage] = list(stages or [])
         self._lowered_cache: dict = {}
+        self._lower_lock = threading.Lock()
 
     def add(self, func: Func, input_name: str = "input_1", pad: int = 0,
             pad_width: tuple | None = None, name: str | None = None) -> "FuncPipeline":
@@ -193,11 +198,6 @@ class FuncPipeline:
                                    input_name=stage.input_name, pad=stage.pad,
                                    pad_width=stage.pad_width))
         return FuncPipeline(fused)
-
-    def uses_lowering(self) -> bool:
-        """True when some stage asks for an explicit compute level."""
-        return any(stage.func.schedule.compute in ("root", "at")
-                   for stage in self.stages)
 
     def _lowering_key(self, frame_shape: tuple[int, ...],
                       include_schedules: bool = True) -> tuple:
@@ -241,83 +241,56 @@ class FuncPipeline:
 
         Returns a :class:`~repro.halide.lower.LoweredPipeline`; raises
         :class:`~repro.halide.lower.PipelineLoweringError` when the pipeline
-        cannot be expressed in the loop-nest IR (e.g. a reduction whose RDom
-        does not range over the stage's own input at frame rank).
+        cannot be expressed in the loop-nest IR (a stage whose rank differs
+        from the frame's, or a reduction whose RDom does not range over the
+        stage's own input at frame rank).
         """
         from .lower import lower_pipeline
 
         key = self._lowering_key(frame_shape)
-        lowered = self._lowered_cache.get(key)
-        if lowered is None:
-            lowered = lower_pipeline(self, frame_shape)
-        else:
-            del self._lowered_cache[key]         # re-insert as most recent
-        self._lowered_cache[key] = lowered
-        while len(self._lowered_cache) > self.MAX_LOWERED_CACHE:
-            self._lowered_cache.pop(next(iter(self._lowered_cache)))
+        # Locked: concurrent requests share one lowering (and its kernels).
+        with self._lower_lock:
+            lowered = self._lowered_cache.pop(key, None)
+            if lowered is None:
+                lowered = lower_pipeline(self, frame_shape)
+            self._lowered_cache[key] = lowered   # (re-)insert as most recent
+            while len(self._lowered_cache) > self.MAX_LOWERED_CACHE:
+                self._lowered_cache.pop(next(iter(self._lowered_cache)))
         return lowered
 
     def describe(self, frame_shape: tuple[int, ...]) -> str:
-        """The real execution plan for this frame shape.
-
-        For scheduled pipelines: per-stage compute levels, inferred bounds,
-        scratch sizes and the lowered loop nest.  For default pipelines: the
-        legacy stage-by-stage plan.
-        """
-        if self.uses_lowering():
-            from .lower import PipelineLoweringError
-
-            try:
-                return self.lower(tuple(frame_shape)).describe()
-            except PipelineLoweringError as error:
-                return (f"legacy stage-by-stage realization "
-                        f"(lowering unavailable: {error})")
-        lines = ["legacy stage-by-stage realization:"]
-        for stage in self.stages:
-            lines.append(f"  {stage.name}: full-frame "
-                         f"[{stage.func.schedule.describe()}]"
-                         + (f" pad={stage.pad}" if stage.pad else ""))
-        return "\n".join(lines)
+        """The executed plan for this frame shape: per-stage compute levels,
+        ghost rings, inferred bounds, scratch sizes and the lowered loop
+        nest."""
+        return self.lower(tuple(frame_shape)).describe()
 
     def realize(self, image: np.ndarray, params: Mapping[str, float] | None = None,
                 engine: str | None = None, stats: dict | None = None) -> np.ndarray:
         """Run the pipeline on one image (NumPy outermost-first layout).
 
-        Pipelines with explicitly scheduled stages execute through the
-        lowered loop-nest IR on the selected backend (``stats``, when given,
-        collects store/allocation counters from that executor).  Otherwise
-        each stage pads its input as the app wrappers do, then realizes its
-        Func through the selected engine (compiled by default); stage
-        schedules — tiling and ``parallel`` — are honoured per stage.  For
-        many images, prefer :meth:`realize_batch`, which overlaps whole
-        requests across the worker pool.
+        Lowers the pipeline over the image's shape (memoized) and executes
+        the nest on the selected backend (the process default when None);
+        ``stats``, when given, collects store/allocation counters from that
+        executor.  For many images, prefer :meth:`realize_batch`, which
+        overlaps whole requests across the worker pool.
         """
-        if self.uses_lowering():
-            from .lower import PipelineLoweringError
+        from .backends import get_backend
 
-            lowered = None
-            try:
-                lowered = self.lower(np.asarray(image).shape)
-            except PipelineLoweringError:
-                pass           # unlowerable geometry: legacy path below
-            if lowered is not None:
-                from .backends import get_backend
-                from .realize import get_default_engine
+        lowered = self.lower(np.asarray(image).shape)
+        choice = engine if engine is not None else get_default_engine()
+        return get_backend(choice).execute(lowered, image, params, stats)
 
-                choice = engine if engine is not None else get_default_engine()
-                return get_backend(choice).execute(lowered, image, params,
-                                                   stats)
-        current = image
+    def realize_interp(self, image: np.ndarray,
+                       params: Mapping[str, float] | None = None) -> np.ndarray:
+        """The schedule-free oracle: stage by stage, each stage's input
+        edge-padded as the app wrappers do, then realized through
+        :func:`~repro.halide.realize.realize_interp`."""
+        current = np.asarray(image)
         for stage in self.stages:
-            if stage.pad_width is not None:
-                padded = np.pad(current, stage.pad_width, mode="edge")
-            elif stage.pad:
-                padded = np.pad(current, stage.pad, mode="edge")
-            else:
-                padded = current
-            shape = tuple(reversed(current.shape))
-            current = realize(stage.func, shape, {stage.input_name: padded},
-                              params, engine=engine)
+            pad = stage.pad_width if stage.pad_width is not None else stage.pad
+            padded = np.pad(current, pad, mode="edge") if pad else current
+            current = realize_interp(stage.func, tuple(reversed(current.shape)),
+                                     {stage.input_name: padded}, params)
         return current
 
     def realize_batch(self, images: Sequence[np.ndarray],
@@ -326,8 +299,9 @@ class FuncPipeline:
                       max_pending: int | None = None):
         """Realize many images through one compiled pipeline, concurrently.
 
-        Compiles every stage once, then fans the images out across the shared
-        worker pool with bounded queueing; returns a
+        Lowers and compiles the pipeline once (on the first request), and
+        fans the images out across the shared worker pool with bounded
+        queueing; returns a
         :class:`~repro.halide.serve.BatchResult` whose ``outputs`` are in
         input order.  This is the serving path: per-image results are
         bit-identical to calling :meth:`realize` in a loop.

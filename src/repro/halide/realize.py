@@ -33,7 +33,7 @@ from ..ir import (
 # _strip_self_reference lives in func.py (next to the associativity test it
 # underpins) and stays importable from here for the compiled backend.
 from .func import Func, _strip_self_reference  # noqa: F401
-from .lower import func_output_buffer, lower_func
+from .lower import _shift_of_index, func_output_buffer, lower_func
 
 
 class RealizationError(Exception):
@@ -109,21 +109,6 @@ def _evaluate(expr: Expr, env: Mapping[str, np.ndarray],
     raise RealizationError(f"cannot evaluate {type(expr).__name__}")
 
 
-def _shift_of(index: Expr):
-    """Decompose an index into (var_name, offset) for pure shifted accesses."""
-    if isinstance(index, Var):
-        return index.name, 0
-    if isinstance(index, Const):
-        return None, int(index.value)
-    if isinstance(index, BinOp) and index.op == Op.ADD:
-        a, b = index.a, index.b
-        if isinstance(a, Var) and isinstance(b, Const):
-            return a.name, int(b.value)
-        if isinstance(b, Var) and isinstance(a, Const):
-            return b.name, int(a.value)
-    return "complex", 0
-
-
 #: Env key carrying the region an expression is evaluated over:
 #: ``(var_position, origin, extent)`` with origin/extent in NumPy axis order.
 _REGION = "__region__"
@@ -148,12 +133,11 @@ def _sliced_access(expr: BufferAccess, array: np.ndarray, env: Mapping) -> np.nd
         return None
     slices: list = [None] * rank
     for position, idx_expr in enumerate(expr.indices):
-        name, offset = _shift_of(idx_expr)
+        shift = _shift_of_index(idx_expr)
+        if shift is None or var_position.get(shift[0]) != position:
+            return None
+        offset = shift[1]
         axis = rank - 1 - position
-        if name == "complex" or name is None:
-            return None
-        if var_position.get(name) != position:
-            return None
         start = origin[axis] + offset
         if start < 0 or start + extent[axis] > array.shape[axis]:
             return None

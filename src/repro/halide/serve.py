@@ -248,37 +248,30 @@ class PipelineServer:
     def _warm_compile(self, frame_shape: tuple[int, ...] | None) -> None:
         """Pay codegen up front so the serving path never compiles.
 
-        A Func (or a default-scheduled stage) runs one schedule-free kernel
-        whatever its schedule, so compiling it here covers every request.
-        A :class:`FuncPipeline` with explicitly scheduled stages executes
-        through the lowered loop-nest IR, whose store kernels depend on the
-        frame shape; pass ``frame_shape`` (NumPy order) to lower and compile
-        them here too, otherwise they compile (once) on the first request.
+        A Func runs one schedule-free kernel whatever its schedule, so
+        compiling it here covers every request.  A :class:`FuncPipeline`
+        executes its lowered loop nest, whose store kernels depend on the
+        frame shape: with ``frame_shape`` (NumPy order) the pipeline is
+        lowered here — a geometry the nest cannot express raises
+        :class:`~repro.halide.lower.PipelineLoweringError` — and the nest's
+        kernels compile; without it they compile (once) on the first
+        request.
         """
         engine = self.engine if self.engine is not None else get_default_engine()
+        if isinstance(self.target, Func):
+            if engine != "interp":
+                compile_func(self.target)
+            return
+        if frame_shape is None:
+            return
+        lowered = self.target.lower(tuple(frame_shape))
         if engine == "interp":
             return
-        if frame_shape is not None and isinstance(self.target, FuncPipeline) \
-                and self.target.uses_lowering():
-            from ..ir import ReduceLoop, Store
-            from .lower import PipelineLoweringError
+        from ..ir import ReduceLoop, Store
 
-            try:
-                lowered = self.target.lower(tuple(frame_shape))
-            except PipelineLoweringError:
-                lowered = None               # legacy fallback: warm below
-            if lowered is not None:
-                # The lowered executor only runs store kernels and reduction
-                # update sweeps; the stage Funcs' own kernels would be dead
-                # weight.
-                for node in lowered.stmt.walk():
-                    if isinstance(node, (ReduceLoop, Store)):
-                        compile_func(node.func)
-                return
-        funcs = [self.target] if isinstance(self.target, Func) \
-            else [stage.func for stage in self.target.stages]
-        for func in funcs:
-            compile_func(func)
+        for node in lowered.stmt.walk():
+            if isinstance(node, (ReduceLoop, Store)):
+                compile_func(node.func)
 
     def close(self, wait: bool = False) -> None:
         """Refuse further submissions (in-flight requests still finish).

@@ -146,7 +146,7 @@ class TestAutotunePipeline:
         rng = np.random.default_rng(5)
         image = rng.integers(0, 256, size=(40, 56), dtype=np.uint8)
         pipeline = self._pipeline()
-        before = pipeline.realize(image, engine="interp")
+        before = pipeline.realize_interp(image)
         autotune_pipeline(pipeline, image, iterations=6, seed=9)
         after = pipeline.realize(image)
         np.testing.assert_array_equal(before, after)

@@ -206,7 +206,7 @@ class TestFuncPipelineFusion:
             .add(self._pointwise("p1")) \
             .add(self._stencil("s2"), pad=1) \
             .add(self._pointwise("p2"))
-        unfused = pipe.realize(image, engine="interp")
+        unfused = pipe.realize_interp(image)
         fused = pipe.fused().realize(image, engine=engine)
         np.testing.assert_array_equal(unfused, fused)
 

@@ -4,9 +4,10 @@ Random expression trees (hypothesis) and every lifted application kernel are
 realized through both engines and must agree bit-for-bit, including tiled
 schedules and reduction funcs — the property the compiled backend is built
 around.  Random multi-stage pipelines additionally draw a compute level per
-producer (legacy inline, compute_root, compute_at), so the lowered loop-nest
-IR — bounds inference, scratch buffers, clamped ghost zones, loop
-partitioning — is pinned against the same oracle.
+stage (default, compute_root, compute_at) and padded reduction stages, so
+the lowered loop-nest IR — ghost rings, bounds inference, scratch buffers,
+clamped ghost zones, loop partitioning — is pinned on every engine against
+``FuncPipeline.realize_interp``, the schedule-free stage-by-stage oracle.
 """
 
 import numpy as np
@@ -149,16 +150,19 @@ class TestReductionDifferential:
 class TestPipelineDifferential:
     """Random multi-stage pipelines with random compute levels.
 
-    The oracle is the legacy padded stage-by-stage interpreter path; every
-    drawn schedule assignment (inline/root/at per producer, tiles on the
-    output) must realize bit-identically through the lowered loop-nest IR on
-    *both* backends.
+    The oracle is ``FuncPipeline.realize_interp`` (each stage's input
+    edge-padded, then realized by the interpreter); every drawn schedule
+    assignment (default/root/at per stage, tiles on the output, padded
+    reduction stages) must realize bit-identically through the lowered
+    loop-nest IR on every engine.
     """
 
-    STAGE_KINDS = ("pointwise", "coord", "stencil_x", "stencil_y", "cross")
+    STAGE_KINDS = ("pointwise", "coord", "stencil_x", "stencil_y", "cross",
+                   "hist")
 
     @staticmethod
-    def _make_stage(kind: str, input_name: str) -> tuple[Func, int]:
+    def _make_stage(kind: str, input_name: str,
+                    hist_pad: int = 1) -> tuple[Func, int]:
         x, y = _vars()
 
         def acc(dx, dy):
@@ -166,6 +170,19 @@ class TestPipelineDifferential:
             iy = y if dy == 0 else BinOp(Op.ADD, y, Const(dy))
             return Cast(UINT32, BufferAccess(input_name, [ix, iy], UINT8))
 
+        if kind == "hist":
+            # A rank-preserving histogram over the padded input, seeded with
+            # the centre pixel (the init store reads padded coordinates too).
+            func = Func("st_hist", [x, y], dtype=UINT8).define(
+                Cast(UINT8, acc(hist_pad, hist_pad)))
+            value = BufferAccess(input_name, [IRVar("r_0"), IRVar("r_1")],
+                                 UINT8)
+            indices = [BinOp(Op.MOD, value, Const(WIDTH, UINT32), UINT32),
+                       BinOp(Op.MOD, value, Const(HEIGHT, UINT32), UINT32)]
+            func.update(RDom("r", source=input_name, dimensions=2), indices,
+                        BinOp(Op.ADD, BufferAccess("st_hist", indices, UINT8),
+                              Const(1, UINT32)))
+            return func, hist_pad
         if kind == "pointwise":
             expr, pad = BinOp(Op.XOR, Const(255, UINT32), acc(0, 0), UINT32), 0
         elif kind == "coord":
@@ -190,24 +207,25 @@ class TestPipelineDifferential:
         return func, pad
 
     @classmethod
-    def _build(cls, kinds, levels=None, tile=None) -> FuncPipeline:
+    def _build(cls, kinds, levels=None, tile=None,
+               hist_pad: int = 1) -> FuncPipeline:
+        """``levels`` holds one compute level per stage (the output stage's
+        is ``default`` or ``root``); None leaves every stage default."""
         pipeline = FuncPipeline()
         funcs = []
         for index, kind in enumerate(kinds):
             input_name = "input_1" if index == 0 else f"buf_{index}"
-            func, pad = cls._make_stage(kind, input_name)
+            func, pad = cls._make_stage(kind, input_name, hist_pad)
             pipeline.add(func, input_name=input_name, pad=pad,
                          name=f"s{index}")
             funcs.append(func)
         if tile is not None:
             funcs[-1].tile(*tile)
-        if levels is not None:
-            funcs[-1].compute_root()
-            for index, level in enumerate(levels):
-                if level == "root":
-                    funcs[index].compute_root()
-                elif level == "at":
-                    funcs[index].compute_at(f"s{index + 1}", "x_1")
+        for index, level in enumerate(levels or ()):
+            if level == "root":
+                funcs[index].compute_root()
+            elif level == "at":
+                funcs[index].compute_at(f"s{index + 1}", "x_1")
         return pipeline
 
     @settings(max_examples=30, deadline=None)
@@ -218,27 +236,34 @@ class TestPipelineDifferential:
         levels = data.draw(st.lists(st.sampled_from(("default", "root", "at")),
                                     min_size=len(kinds) - 1,
                                     max_size=len(kinds) - 1), label="levels")
+        levels.append(data.draw(st.sampled_from(("default", "root")),
+                                label="output level"))
         tile = data.draw(st.sampled_from(
             [None, (8, 8), (16, 4), (WIDTH, 8), (64, 64)]), label="tile")
+        hist_pad = data.draw(st.integers(0, 2), label="hist pad")
+        also_native = data.draw(st.booleans(), label="also native")
         seed = data.draw(st.integers(0, 2 ** 16), label="seed")
         image = np.random.default_rng(seed).integers(
             0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
 
-        oracle = self._build(kinds).realize(image, engine="interp")
-        scheduled = self._build(kinds, levels=levels, tile=tile)
-        assert scheduled.uses_lowering()
-        for engine in ("interp", "compiled"):
-            out = scheduled.realize(image, engine=engine)
-            np.testing.assert_array_equal(out, oracle)
+        oracle = self._build(kinds, hist_pad=hist_pad).realize_interp(image)
+        scheduled = self._build(kinds, levels=levels, tile=tile,
+                                hist_pad=hist_pad)
+        engines = ("interp", "compiled") + (("native",) if also_native else ())
+        for engine in engines:
+            np.testing.assert_array_equal(
+                scheduled.realize(image, engine=engine), oracle,
+                err_msg=f"engine={engine}")
 
     def test_compute_at_chain_with_coordinate_consumer(self):
         """The Param-corrected local store agrees with the oracle exactly."""
         image = np.random.default_rng(11).integers(
             0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
         kinds = ("stencil_x", "coord", "stencil_y")
-        oracle = self._build(kinds).realize(image, engine="interp")
-        scheduled = self._build(kinds, levels=("at", "at"), tile=(16, 8))
-        for engine in ("interp", "compiled"):
+        oracle = self._build(kinds).realize_interp(image)
+        scheduled = self._build(kinds, levels=("at", "at", "root"),
+                                tile=(16, 8))
+        for engine in ENGINES:
             np.testing.assert_array_equal(
                 scheduled.realize(image, engine=engine), oracle)
 

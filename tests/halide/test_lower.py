@@ -1,10 +1,11 @@
 """The lowered loop-nest IR: bounds inference, compute levels, backends.
 
-Every lowered execution is compared bit-for-bit against the legacy padded
-stage-by-stage interpreter path — the oracle the compiled engine is already
-validated against — so these tests pin the lowering itself: required-region
-propagation, clamped ghost zones, scratch sizing, loop partitioning and the
-backend interface.
+Every lowered execution is compared bit-for-bit against
+``FuncPipeline.realize_interp`` — the schedule-free padded stage-by-stage
+oracle — so these tests pin the lowering itself: ghost rings, required-region
+propagation, clamped ghost zones, scratch sizing, loop partitioning, the
+geometries that raise :class:`PipelineLoweringError` and the backend
+interface.
 """
 
 import numpy as np
@@ -82,7 +83,7 @@ def image():
 
 @pytest.fixture()
 def oracle(image):
-    return _two_stage(schedule="none").realize(image, engine="interp")
+    return _two_stage(schedule="none").realize_interp(image)
 
 
 class TestComputeLevels:
@@ -114,7 +115,7 @@ class TestComputeLevels:
         reference = FuncPipeline()
         for func, inp in ((s0, "input_1"), (s1, "b0"), (s2, "b1")):
             reference.add(func, input_name=inp, pad=1, name=func.name)
-        oracle = reference.realize(image, engine="interp")
+        oracle = reference.realize_interp(image)
 
         scheduled = _rebuild_three(s0, s1, s2)
         scheduled.stages[2].func.tile(16, 8)
@@ -129,7 +130,7 @@ class TestComputeLevels:
         s1 = _stencil("s1", "b0", [(1, 0), (1, 1), (1, 2)])
         s2 = _stencil("s2", "b1", [(2, 0), (0, 2)])
         reference = _rebuild_three(s0, s1, s2)
-        oracle = reference.realize(image, engine="interp")
+        oracle = reference.realize_interp(image)
         scheduled = _rebuild_three(s0, s1, s2)
         scheduled.stages[0].func.compute_root()
         scheduled.stages[2].func.tile(8, 8)
@@ -144,7 +145,7 @@ def _hist_pipeline(image, rdom_source="p_buf", pad=0):
 
     Bins pixel values modulo the frame dimensions so the output keeps the
     frame's rank/shape (what lifted in-pipeline reductions look like);
-    returns (pipeline, legacy interpreter oracle).
+    returns (pipeline, interpreter oracle).
     """
     from repro.ir import Var as IRVar
 
@@ -161,10 +162,10 @@ def _hist_pipeline(image, rdom_source="p_buf", pad=0):
     pipeline = FuncPipeline()
     pipeline.add(hist_source, input_name="input_1", name="p")
     pipeline.add(hist, input_name="p_buf", pad=pad, name="hist")
-    # A mismatched RDom source has no legacy realization either (the stage
+    # A mismatched RDom source has no oracle realization either (the stage
     # binds only its own input); those callers only exercise the lowering.
-    oracle = pipeline.realize(image, engine="interp") \
-        if rdom_source == "p_buf" else None
+    oracle = pipeline.realize_interp(image) if rdom_source == "p_buf" \
+        else None
     return pipeline, oracle
 
 
@@ -203,15 +204,47 @@ class TestBoundsInference:
         assert "allocate bx.scratch#0" in text
         assert "produce bx" in text and "consume" in text
 
+    def test_full_frame_buffers_live_only_until_their_consumer(self, image):
+        """Each full-frame buffer is allocated around its producer and its
+        one consumer, so it is freed before later stages run; an output
+        stage that is one whole-frame store materializes the output."""
+        s0 = _stencil("s0", "input_1", [(0, 1), (1, 1), (2, 1)])
+        s1 = _stencil("s1", "b0", [(1, 0), (1, 1), (1, 2)])
+        s2 = _stencil("s2", "b1", [(0, 0), (2, 2)])
+        lowered = _rebuild_three(s0, s1, s2).lower(image.shape)
+        assert isinstance(lowered.stmt, Allocate)
+        assert lowered.stmt.buffer == "s1.root#1"
+        (node,) = lowered.stmt.body.stmts
+        assert isinstance(node, ProducerConsumer)
+        consume_buffers = {n.buffer for n in node.consume.walk()
+                           if isinstance(n, Store)}
+        assert consume_buffers == {"s2.out"}      # s0.root#0 already freed
+        assert lowered.output_by_store
+        s2.tile(16, 8)
+        assert not _rebuild_three(s0, s1, s2).lower(image.shape) \
+            .output_by_store
+
     def test_lowered_tree_has_expected_node_kinds(self, image):
         lowered = _two_stage(tile=(16, 8)).lower(image.shape)
         kinds = {type(node) for node in lowered.stmt.walk()}
         assert {For, Allocate, ProducerConsumer, IfThenElse, Store} <= kinds
 
-    def test_default_stages_keep_legacy_path(self, image):
+    def test_describe_prints_executed_nest_of_default_pipeline(self, image):
         pipeline = _two_stage(schedule="none")
-        assert not pipeline.uses_lowering()
-        assert "legacy stage-by-stage" in pipeline.describe(image.shape)
+        text = pipeline.describe(image.shape)
+        assert text.startswith(f"lowered pipeline over frame {list(image.shape)}"
+                               ", input_1 edge-padded by [1,1]x[1,1]")
+        assert "bx: default, reads its input through edge ghost ring" in text
+        assert f"allocate bx.root#0[uint8]({HEIGHT + 2}, {WIDTH + 2})" in text
+        assert f"pad_edge bx.root#0 interior (1, 1) + ({HEIGHT}, {WIDTH})" \
+            in text
+        assert "legacy" not in text
+        # The printed nest is the one that runs: one store per stage plus
+        # the ring fill.
+        stats = {}
+        pipeline.realize(image, engine="compiled", stats=stats)
+        assert (stats["stores"], stats["allocations"],
+                stats["ghost_pads"]) == (2, 1, 1)
 
 
 class TestDemotions:
@@ -237,7 +270,7 @@ class TestDemotions:
         pipeline = FuncPipeline()
         pipeline.add(producer, input_name="input_1", name="p")
         pipeline.add(consumer, input_name="p_buf", name="c")
-        oracle = pipeline.realize(image, engine="interp")
+        oracle = pipeline.realize_interp(image)
         producer.compute_at(consumer, "x_1")
         lowered = pipeline.lower(image.shape)
         assert lowered.decisions[0].level == "root"
@@ -267,7 +300,7 @@ class TestDemotions:
             pipeline.add(consumer, input_name="p_buf", pad=1, name="c")
             return pipeline
 
-        oracle = build().realize(image, engine="interp")
+        oracle = build().realize_interp(image)
         producer.compute_at(consumer, "x_1")       # untiled: 1-row strips
         pipeline = build()
         lowered = pipeline.lower(image.shape)
@@ -293,8 +326,8 @@ class TestDemotions:
         assert "no consumer" in lowered.decisions[1].demoted_reason
 
     def test_reduction_stage_lowers_first_class(self, image):
-        """Reduction stages are lowered stages now: an init Store plus a
-        ReduceLoop sweep, bit-identical to the legacy path on both backends."""
+        """Reduction stages are lowered stages: an init Store plus a
+        ReduceLoop sweep, bit-identical to the oracle on every backend."""
         from repro.ir import ReduceLoop
 
         pipeline, oracle = _hist_pipeline(image)
@@ -307,22 +340,67 @@ class TestDemotions:
             out = pipeline.realize(image, engine=engine)
             np.testing.assert_array_equal(out, oracle)
 
-    def test_unlowerable_reduction_falls_back_to_legacy(self, image):
-        """A reduction stage that pads its input sweeps a padded RDom domain
-        the loop-nest IR cannot express; realize() falls back to the legacy
-        path instead of failing.  (An RDom over a buffer that is not the
-        stage's input is rejected the same way.)"""
+    def test_padded_reduction_lowers_and_mismatched_rdom_raises(self, image):
+        """A reduction stage that pads its input sweeps the whole ghost-ringed
+        buffer — the padded RDom domain — on every backend.  An RDom over a
+        buffer that is not the stage's input has no nest: realize() and
+        describe() raise the typed error."""
+        from repro.ir import ReduceLoop
+
         pipeline, oracle = _hist_pipeline(image, pad=1)
         pipeline.stages[0].func.compute_root()
-        with pytest.raises(PipelineLoweringError, match="padded"):
-            lower_pipeline(pipeline, image.shape)
-        out = pipeline.realize(image, engine="compiled")
-        np.testing.assert_array_equal(out, oracle)
+        lowered = lower_pipeline(pipeline, image.shape)
+        sweep = next(node for node in lowered.stmt.walk()
+                     if isinstance(node, ReduceLoop))
+        assert sweep.source_extent == (HEIGHT + 2, WIDTH + 2)
+        for engine in backend_names():
+            np.testing.assert_array_equal(
+                pipeline.realize(image, engine=engine), oracle)
 
         mismatched, _ = _hist_pipeline(image, rdom_source="input_1")
         mismatched.stages[0].func.compute_root()
+        for engine in backend_names():
+            with pytest.raises(PipelineLoweringError,
+                               match="RDom ranges over"):
+                mismatched.realize(image, engine=engine)
         with pytest.raises(PipelineLoweringError, match="RDom ranges over"):
-            lower_pipeline(mismatched, image.shape)
+            mismatched.describe(image.shape)
+
+    def test_rank_changing_reduction_raises_typed_error(self, image):
+        """src -> 1-D histogram: the stage's rank differs from the frame's,
+        so the nest cannot express it — a PipelineLoweringError on every
+        engine and from a server given the frame shape, never an IndexError
+        from a fallback."""
+        from repro.halide import PipelineServer
+        from repro.ir import Var as IRVar
+
+        x = Var("x_0")
+        hist = Func("hist", [x], dtype=UINT32).define(Const(0, UINT32))
+        value = BufferAccess("src_buf", [IRVar("r_0"), IRVar("r_1")], UINT8)
+        hist.update(RDom("r_0", source="src_buf", dimensions=2), [value],
+                    BinOp(Op.ADD, BufferAccess("hist", [value], UINT32),
+                          Const(1, UINT32)))
+        pipeline = FuncPipeline()
+        pipeline.add(_stencil("src", "input_1", [(0, 0)]), name="src")
+        pipeline.add(hist, input_name="src_buf", name="hist")
+        for engine in backend_names():
+            with pytest.raises(PipelineLoweringError, match="rank 1"):
+                pipeline.realize(image, engine=engine)
+        with pytest.raises(PipelineLoweringError, match="rank 1"):
+            PipelineServer(pipeline, frame_shape=image.shape)
+
+    def test_reduction_output_read_through_ghost_ring(self, image):
+        """A padded default stage after a reduction reads a ring-wrapped
+        copy of the accumulator (the scatter itself addresses the frame)."""
+        pipeline, _ = _hist_pipeline(image)
+        blur = _stencil("b", "hist_buf", [(0, 1), (1, 1), (2, 1)])
+        pipeline.add(blur, input_name="hist_buf", pad=1, name="b")
+        lowered = pipeline.lower(image.shape)
+        assert "hist.acc#1" in lowered.describe()
+        oracle = pipeline.realize_interp(image)
+        for engine in backend_names():
+            np.testing.assert_array_equal(
+                pipeline.realize(image, engine=engine), oracle)
 
     def test_compute_at_into_reduction_consumer_demotes(self, image):
         pipeline, oracle = _hist_pipeline(image)
@@ -333,6 +411,41 @@ class TestDemotions:
         for engine in backend_names():
             np.testing.assert_array_equal(
                 pipeline.realize(image, engine=engine), oracle)
+
+
+class TestLoweringMemo:
+    def test_concurrent_first_frames_share_one_lowering(self, image):
+        """Requests racing on a fresh pipeline (``realize_batch``, a server
+        without ``frame_shape``) lower it once and share that nest."""
+        import sys
+        import threading
+
+        pipeline = _two_stage(schedule="none")
+        barrier = threading.Barrier(8)
+        lowered, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(25):
+                    lowered.append(pipeline.lower(image.shape))
+            except Exception as exc:          # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(lowered) == 8 * 25
+        assert len({id(nest) for nest in lowered}) == 1
 
 
 class TestParallelLoweredLoops:

