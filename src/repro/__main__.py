@@ -258,10 +258,14 @@ def cmd_tune(args) -> int:
                 for rank, score in enumerate(tuned.ranked[:10])]
         _print_table(["rank", "model cost", "demotions", "schedule"], rows)
     if store is not None:
-        from .halide.tuningdb import func_workload, tuning_key
+        from .halide.tuningdb import (func_workload, machine_fingerprint,
+                                      tuning_key)
 
+        # The key autotune stored the record under: its machine fingerprint
+        # names the engine it tuned for.
         np_shape = tuple(reversed(request["shape"]))
-        key = tuning_key(func_workload(func, np_shape))
+        key = tuning_key(func_workload(func, np_shape),
+                         machine_fingerprint(args.engine))
         print(f"record: tuning/{key.digest[:12]} in {store.root}")
     return 0
 
@@ -362,6 +366,8 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .halide.realize import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Lift, run and serve kernels from the simulated legacy apps.")
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(run)
     run.add_argument("--width", type=int, default=640)
     run.add_argument("--height", type=int, default=480)
-    run.add_argument("--engine", default=None, choices=("compiled", "interp"))
+    run.add_argument("--engine", default=None, choices=ENGINES)
     run.add_argument("--explain", action="store_true",
                      help="print each kernel's schedule and lowered loop nest")
     run.add_argument("--tile", default=None, metavar="WxH",
@@ -397,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--frames", type=int, default=8)
     serve.add_argument("--width", type=int, default=640)
     serve.add_argument("--height", type=int, default=480)
-    serve.add_argument("--engine", default=None, choices=("compiled", "interp"))
+    serve.add_argument("--engine", default=None, choices=ENGINES)
     serve.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                        help="per-frame deadline; late frames resolve with "
                             "DeadlineExceeded instead of blocking the batch")
@@ -419,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "cost-model ranking (default: 5)")
     tune.add_argument("--rng-seed", type=int, default=0,
                       help="candidate sampling seed (default: 0)")
-    tune.add_argument("--engine", default=None, choices=("compiled", "interp"))
+    tune.add_argument("--engine", default=None, choices=ENGINES)
     tune.add_argument("--force", action="store_true",
                       help="retune even when a stored record matches")
     tune.set_defaults(fn=cmd_tune)

@@ -63,9 +63,6 @@ class KnownData:
     inputs: list[KnownDataArray] = field(default_factory=list)
     outputs: list[KnownDataArray] = field(default_factory=list)
 
-    def all_arrays(self) -> list[KnownDataArray]:
-        return list(self.inputs) + list(self.outputs)
-
 
 @dataclass
 class AppRunResult:
@@ -140,9 +137,6 @@ class Application:
         if self._program is None:
             self._program = self.build_program()
         return self._program
-
-    def filter_entry(self, symbol: str) -> int:
-        return self.program.resolve(symbol)
 
     def _new_emulator(self, tools: Sequence, intercept_cpuid: bool) -> Emulator:
         _count_run()

@@ -63,15 +63,6 @@ class PlaneBuffer:
             out[y] = np.frombuffer(row, dtype=np.uint8)
         return out
 
-    def read_padded(self, memory: Memory) -> np.ndarray:
-        rows = self.height + 2 * self.pad
-        cols = self.width + 2 * self.pad
-        out = np.empty((rows, cols), dtype=np.uint8)
-        for y in range(rows):
-            row = memory.read_bytes(self.base + y * self.stride, cols)
-            out[y] = np.frombuffer(row, dtype=np.uint8)
-        return out
-
 
 @dataclass
 class PlanarLayout:
@@ -146,15 +137,6 @@ class InterleavedBuffer:
         out = np.empty((self.height, self.interior_row_bytes), dtype=np.uint8)
         for y in range(self.height):
             row = memory.read_bytes(self.interior + y * self.stride, self.interior_row_bytes)
-            out[y] = np.frombuffer(row, dtype=np.uint8)
-        return out
-
-    def read_padded(self, memory: Memory) -> np.ndarray:
-        rows = self.height + 2 * self.pad
-        cols = (self.width + 2 * self.pad) * self.channels
-        out = np.empty((rows, cols), dtype=np.uint8)
-        for y in range(rows):
-            row = memory.read_bytes(self.base + y * self.stride, cols)
             out[y] = np.frombuffer(row, dtype=np.uint8)
         return out
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..apps.base import KnownDataArray
 from ..dynamo.records import InstructionTrace
-from ..ir import DType, FLOAT64, UINT8, UINT16, UINT32, UINT64, unsigned_of_width
+from ..ir import DType, FLOAT64, unsigned_of_width
 from ..x86.memory import PAGE_SIZE
 from .regions import MemoryRegion
 
@@ -92,12 +92,6 @@ class BufferSpec:
             else:
                 out[index] = raw
         return out
-
-
-def _dtype_for_element(element_size: int, is_float: bool) -> DType:
-    if is_float:
-        return FLOAT64 if element_size == 8 else DType.__call__  # pragma: no cover
-    return {1: UINT8, 2: UINT16, 4: UINT32, 8: UINT64}[element_size]
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,6 @@ class BufferMap:
                 return entry
         return None
 
-    def by_name(self, name: str) -> BufferEntry:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
     def outputs(self) -> list[BufferEntry]:
         return [e for e in self.entries if e.role == "output"]
 

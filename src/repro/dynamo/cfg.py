@@ -25,9 +25,6 @@ class DynamicCFG:
     def blocks(self) -> list[int]:
         return list(self._block_starts)
 
-    def execution_count(self, block: int) -> int:
-        return self.profile.counts.get(block, 0)
-
     def predecessors(self, block: int) -> set[int]:
         return set(self.profile.predecessors.get(block, set()))
 
@@ -61,8 +58,3 @@ class DynamicCFG:
 
     def blocks_in_function(self, entry: int) -> set[int]:
         return {block for block, fn in self.profile.block_function.items() if fn == entry}
-
-    def most_executed_block(self) -> int | None:
-        if not self.profile.counts:
-            return None
-        return max(self.profile.counts, key=self.profile.counts.get)

@@ -1,15 +1,12 @@
 """The backend interface and the shared loop-nest executor.
 
-A backend supplies the two primitives a lowered loop nest needs:
-
-* :meth:`Backend.evaluate_region` — evaluate a *pure* Func vectorized over
-  one rectangular region (NumPy axis order) into a destination view, the
-  primitive behind every :class:`~repro.ir.stmt.Store`;
-* :meth:`Backend.reduce_region` — apply a Func's reduction update over one
-  RDom sub-region in place, the primitive behind every
-  :class:`~repro.ir.stmt.ReduceLoop`.
-
-Both are resolved once per Func through :meth:`Backend.kernels`.
+A backend supplies, through :meth:`Backend.kernels`, the two primitives a
+lowered loop nest needs for one Func: an evaluator writing the *pure* Func
+vectorized over one rectangular region (NumPy axis order) into a
+destination view, behind every :class:`~repro.ir.stmt.Store`, and a sweep
+applying the Func's reduction update over one RDom sub-region in place,
+behind every :class:`~repro.ir.stmt.ReduceLoop`.  Each node resolves the
+pair once and memoizes it, so a warm frame makes no kernel lookup.
 Everything else — walking the loop nest, allocating scratch buffers,
 branching between interior and border stores, edge-replicating ghost
 zones, fanning parallel loops out across the shared worker pool and
@@ -127,25 +124,19 @@ def _node_scalars(stmt, values) -> Callable[[Mapping, Mapping], tuple]:
 class _ExecState:
     """Per-execution bookkeeping shared by the Stmt walkers.
 
-    ``kernels`` is the ``(evaluate, reduce)`` pair of a single-Func nest,
-    resolved once for the call (every node of such a nest executes that one
-    Func); None for pipelines, whose nodes memoize their own.  ``stats`` is
-    None when the caller asked for no counters.  ``faults`` is False on the
-    interpreter's frames, which fire no fault site: serving degrades to
-    them.
+    ``stats`` is None when the caller asked for no counters.  ``faults`` is
+    False on the interpreter's frames, which fire no fault site: serving
+    degrades to them.
     """
 
-    __slots__ = ("params", "stats", "frame_shape", "lock", "kernels",
-                 "faults")
+    __slots__ = ("params", "stats", "frame_shape", "lock", "faults")
 
     def __init__(self, params: dict, stats: Optional[dict],
-                 frame_shape: tuple, kernels: Optional[tuple] = None,
-                 faults: bool = True) -> None:
+                 frame_shape: tuple, faults: bool = True) -> None:
         self.params = params
         self.stats = stats
         self.frame_shape = frame_shape
         self.lock = threading.Lock() if stats is not None else None
-        self.kernels = kernels
         self.faults = faults
 
     def tally(self, key: str, amount: int = 1) -> None:
@@ -293,31 +284,11 @@ class Backend:
         ``evaluate(origin, extent, buffers, params, out)`` writes the pure
         value over one region into ``out``; ``reduce(out, origin, extent,
         buffers, params)`` applies the reduction update over one RDom
-        sub-region in place.  The executor memoizes the pair on each node
-        (or once per call for a single-Func nest).
+        sub-region in place (``origin``/``extent`` a rectangle of the
+        reduction source, NumPy axis order, global coordinates).  The
+        executor memoizes the pair on each node.
         """
         raise NotImplementedError
-
-    def evaluate_region(self, func, origin: tuple[int, ...],
-                        extent: tuple[int, ...],
-                        buffers: Mapping[str, np.ndarray],
-                        params: Mapping[str, float],
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Evaluate a pure Func over one region (NumPy axis order) into
-        ``out`` (allocated when None); returns it."""
-        return self.kernels(func)[0](origin, extent, buffers, params, out)
-
-    def reduce_region(self, func, out: np.ndarray, origin: tuple[int, ...],
-                      extent: tuple[int, ...],
-                      buffers: Mapping[str, np.ndarray],
-                      params: Mapping[str, float]) -> np.ndarray:
-        """Apply ``func``'s reduction update over one RDom sub-region.
-
-        ``origin``/``extent`` restrict the sweep to a rectangle of the
-        reduction source (NumPy axis order, global coordinates); the update
-        mutates ``out`` in place.
-        """
-        return self.kernels(func)[1](out, origin, extent, buffers, params)
 
     # -- execution -----------------------------------------------------------
 
@@ -340,31 +311,26 @@ class Backend:
 
     def run(self, stmt: Stmt, buffers: dict,
             params: Mapping[str, float] | None = None,
-            stats: Optional[dict] = None, frame_shape: tuple = (),
-            kernels: Optional[tuple] = None) -> None:
+            stats: Optional[dict] = None, frame_shape: tuple = ()) -> None:
         """Execute one frame's loop nest over bound ``buffers`` in place.
 
         The one executor behind :meth:`execute` and
         :func:`repro.halide.realize.realize`.  ``frame_shape`` sizes the
-        parallel cost heuristic; ``kernels`` is the per-call
-        :meth:`kernels` pair of a single-Func nest.
+        parallel cost heuristic.
         """
         faults = self.frame_fault_site is not None
         if faults:
             fault_point(self.frame_fault_site)
         state = _ExecState(params=dict(params or {}), stats=stats,
-                           frame_shape=tuple(frame_shape), kernels=kernels,
-                           faults=faults)
+                           frame_shape=tuple(frame_shape), faults=faults)
         self._exec(stmt, {}, buffers, state)
 
-    def _node_kernels(self, stmt, state: _ExecState) -> tuple:
-        """The :meth:`kernels` pair a Store/ReduceLoop executes."""
-        if state.kernels is not None:
-            return state.kernels
+    def _node_kernels(self, stmt) -> tuple:
+        """The :meth:`kernels` pair a Store/ReduceLoop executes, memoized
+        on the node."""
         kernels = stmt.cache.get(self.name)
         if kernels is None:
-            kernels = self.kernels(stmt.func)
-            stmt.cache[self.name] = kernels
+            kernels = stmt.cache[self.name] = self.kernels(stmt.func)
         return kernels
 
     def _exec(self, stmt: Stmt, env: dict, buffers: dict,
@@ -455,7 +421,7 @@ class Backend:
         if stmt.param_exprs:
             params = dict(params)
             params.update(zip(stmt.param_exprs, values[3 * rank:]))
-        evaluate = self._node_kernels(stmt, state)[0]
+        evaluate = self._node_kernels(stmt)[0]
         target = buffers.get(stmt.buffer)
         if target is None:
             # A store into a buffer nothing has bound yet materializes it
@@ -489,7 +455,7 @@ class Backend:
         origin, extent = values[:rank], values[rank:]
         if any(e <= 0 for e in extent):
             return
-        reduce = self._node_kernels(stmt, state)[1]
+        reduce = self._node_kernels(stmt)[1]
         reduce(target, origin, extent, buffers, state.params)
         state.tally("reduce_sweeps")
 

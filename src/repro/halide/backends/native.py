@@ -16,8 +16,9 @@ Compilation is cached at three levels:
 * the :class:`~repro.store.ArtifactStore` under a new ``native/`` stage,
   keyed on the same digest, holding the ``.so`` bytes — a warm start costs
   zero compiler invocations;
-* a per-``LoweredPipeline`` program table (weakref-evicted) so repeated
-  frames skip even the source generation.
+* a memo on each :class:`~repro.halide.lower.LoweredPipeline` itself, keyed
+  on frame dtype, param kinds and toolchain, so a lowering's repeated
+  frames skip even the source generation: one dict lookup per frame.
 
 Degradation, not failure: no C compiler on PATH, cffi missing, a construct
 :mod:`.cgen` cannot translate, or a (possibly injected — fault site
@@ -36,7 +37,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import weakref
 from typing import Mapping, Optional
 
 import numpy as np
@@ -46,11 +46,10 @@ try:  # pragma: no cover - exercised via the degraded path when absent
 except ImportError:  # pragma: no cover
     cffi = None
 
-from ...ir import For, Store
+from ...ir import For
 from ...ir.types import dtype_from_name
 from ...reliability.faults import InjectedFault, fault_point
 from ...store import ArtifactKey, default_store
-from ..func import vectorize_width
 from ..parallel import choose_tile_executor, record_execution
 from ..realize import RealizationError
 from .base import (Backend, _ExecState, _scalar, bind_buffers,
@@ -156,11 +155,11 @@ _COMPILE_LOCK = threading.Lock()
 _SO_CACHE: dict = {}
 #: source digests whose real compilation failed (never retried this process)
 _FAILED: set = set()
-#: program-table sentinel: this lowering permanently degrades
+#: program-memo sentinel: this lowering permanently degrades
 _DEGRADED = object()
-#: (id(lowered), frame dtype, widths, param kinds, cc) -> bundle | _DEGRADED
-_PROGRAMS: dict = {}
-_KEYS_BY_ID: dict = {}
+#: Part of every program-memo key; :func:`reset_native_caches` bumps it, so a
+#: lowering's next frame builds its program again instead of reusing one.
+_GENERATION = 0
 _SO_DIR: list = []  # lazily-created scratch dir for store-served .so files
 
 
@@ -168,23 +167,19 @@ def reset_native_caches() -> None:
     """Drop all in-process caches (tests only; on-disk store is untouched).
 
     Also rotates the scratch directory so previously materialized ``.so``
-    files stop short-circuiting the store lookup — warm-start tests need the
-    next realize to go back to the artifact store.
+    files stop short-circuiting the store lookup, and retires every
+    lowering's memoized programs — warm-start tests need the next frame,
+    even of an existing lowering, to go back to the artifact store.
     """
+    global _GENERATION
     with _COMPILE_LOCK:
         _SO_CACHE.clear()
         _FAILED.clear()
-        _PROGRAMS.clear()
-        _KEYS_BY_ID.clear()
+        _GENERATION += 1
         _TOOLCHAINS.clear()
         if _SO_DIR:
             shutil.rmtree(_SO_DIR[0], ignore_errors=True)
             _SO_DIR.clear()
-
-
-def _evict_programs(lowered_id: int) -> None:
-    for key in _KEYS_BY_ID.pop(lowered_id, ()):  # pragma: no cover - GC timing
-        _PROGRAMS.pop(key, None)
 
 
 def _so_scratch_dir() -> str:
@@ -234,49 +229,31 @@ class NativeBackend(Backend):
 
     # -- compilation ---------------------------------------------------------
 
-    def _program_key(self, lowered, frame: np.ndarray,
-                     params: Mapping) -> tuple:
-        widths = tuple(
-            vectorize_width(node.func.schedule)
-            for node in lowered.stmt.walk() if isinstance(node, Store))
-        kinds = tuple(sorted(
-            (name, "float" if isinstance(value, float) else "int")
-            for name, value in (params or {}).items()))
-        return (id(lowered), frame.dtype.name, widths, kinds,
-                toolchain_path() or "")
-
     def _program_for(self, lowered, frame: np.ndarray,
                      params: Mapping) -> Optional[_Bundle]:
         """The compiled bundle for this lowering, or ``None`` to degrade.
 
-        Permanent degrades (``CGenError``, missing toolchain/cffi, real
-        compile failures) are memoized; an :class:`InjectedFault` propagates
-        so each frame under chaos degrades independently.
+        Memoized on the lowering (its ``cache``) per frame dtype, param
+        kinds and toolchain (and :data:`_GENERATION`); the nest's vectorize
+        widths are fixed by the lowering itself.  Permanent degrades (``CGenError``, missing
+        toolchain/cffi, real compile failures) are memoized too; an
+        :class:`InjectedFault` propagates so each frame under chaos degrades
+        independently.
         """
-        key = self._program_key(lowered, frame, params)
-        with _COMPILE_LOCK:
-            cached = _PROGRAMS.get(key)
-        if cached is _DEGRADED:
-            return None
+        kinds = tuple(sorted(
+            (name, "float" if isinstance(value, float) else "int")
+            for name, value in params.items()))
+        key = (_GENERATION, frame.dtype.name, kinds, toolchain_path() or "")
+        cached = lowered.cache.get(key)
         if cached is not None:
-            return cached
-        bundle: object = None
+            return None if cached is _DEGRADED else cached
         try:
             bundle = self._build(lowered, frame, params)
         except InjectedFault:
             raise
         except (CGenError, NativeCompileError, RealizationError, OSError):
             bundle = None
-        if bundle is None:
-            with _COMPILE_LOCK:
-                _PROGRAMS[key] = _DEGRADED
-            return None
-        with _COMPILE_LOCK:
-            _PROGRAMS[key] = bundle
-            if id(lowered) not in _KEYS_BY_ID:
-                _KEYS_BY_ID[id(lowered)] = set()
-                weakref.finalize(lowered, _evict_programs, id(lowered))
-            _KEYS_BY_ID[id(lowered)].add(key)
+        lowered.cache[key] = _DEGRADED if bundle is None else bundle
         return bundle
 
     def _build(self, lowered, frame: np.ndarray,

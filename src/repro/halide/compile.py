@@ -61,6 +61,8 @@ from .func import Func
 from .lower import _shift_of_index
 from .parallel import reset_fallback_warnings
 from .realize import (
+    _NESTS,
+    _NESTS_LOCK,
     RealizationError,
     _strip_self_reference,
     _trunc_divide,
@@ -852,6 +854,11 @@ kernel_cache_stats = {"hits": 0, "misses": 0, "fallbacks": 0}
 
 
 def clear_kernel_cache() -> None:
+    """Drop every kernel, and with them :func:`~repro.halide.realize.realize`'s
+    single-Func nests (their nodes memoize kernels): the next realization
+    of a Func compiles again."""
+    with _NESTS_LOCK:
+        _NESTS.clear()
     with _CACHE_LOCK:
         _KERNEL_CACHE.clear()
         # Drop pending builds too: a post-clear compile must look (and count)

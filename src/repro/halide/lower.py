@@ -544,6 +544,10 @@ class LoweredPipeline:
     #: it before running.  (Allocating a frame-sized destination ahead of a
     #: store's temporaries put fresh pages under every frame.)
     output_by_store: bool = False
+    #: Backend memo: the native program built for this lowering, per frame
+    #: dtype, param kinds and toolchain (the nest is immutable, so the memo
+    #: can never go stale).
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def input_ring(self) -> Optional[tuple[tuple[int, int], ...]]:

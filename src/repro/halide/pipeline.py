@@ -144,6 +144,17 @@ def inline_producer(consumer: Func, consumer_input: str, producer: Func) -> Func
                 schedule=replace(consumer.schedule))
 
 
+def _stage_identity(stage: FuncStage) -> tuple:
+    """What one stage contributes to :meth:`FuncPipeline.lower`'s memo key."""
+    func = stage.func
+    schedule = func.schedule
+    return (stage.name, stage.input_name, stage.pad, stage.pad_width,
+            func.name, func.dtype, id(func), id(func.value),
+            id(func.reduction), schedule.compute, schedule.compute_at,
+            schedule.tile_x, schedule.tile_y, schedule.parallel,
+            vectorize_width(schedule))
+
+
 class FuncPipeline:
     """A pipeline of lifted Funcs lowered to one loop nest, with IR fusion.
 
@@ -199,38 +210,6 @@ class FuncPipeline:
                                    pad_width=stage.pad_width))
         return FuncPipeline(fused)
 
-    def _lowering_key(self, frame_shape: tuple[int, ...],
-                      include_schedules: bool = True) -> tuple:
-        """Structural identity of this pipeline at one frame shape.
-
-        With ``include_schedules`` (the default) the key distinguishes
-        schedule assignments too — the lowering memo needs that.  Without it
-        the key names the *workload* independent of how it is currently
-        scheduled, which is what the tuning database keys records by (the
-        record's payload is the schedule assignment itself).
-        """
-        parts = []
-        for stage in self.stages:
-            schedule = stage.func.schedule
-            reduction_key = None
-            if stage.func.reduction is not None:
-                rdom, index_exprs, update = stage.func.reduction
-                reduction_key = (rdom.name, rdom.source, rdom.dimensions,
-                                 tuple(e.cached_key() for e in index_exprs),
-                                 update.cached_key())
-            part = (
-                stage.name, stage.input_name, stage.pad, stage.pad_width,
-                stage.func.name, stage.func.dtype,
-                stage.func.value.cached_key() if stage.func.value is not None
-                else None,
-                reduction_key)
-            if include_schedules:
-                part += (schedule.compute, schedule.compute_at,
-                         schedule.tile_x, schedule.tile_y, schedule.parallel,
-                         vectorize_width(schedule))
-            parts.append(part)
-        return (tuple(frame_shape), tuple(parts))
-
     #: Bound on memoized lowerings (per pipeline): serving mixed frame
     #: shapes re-lowers per shape, and the memo must not grow with every
     #: resolution ever seen.  Evicts least-recently-used beyond this.
@@ -244,19 +223,31 @@ class FuncPipeline:
         cannot be expressed in the loop-nest IR (a stage whose rank differs
         from the frame's, or a reduction whose RDom does not range over the
         stage's own input at frame rank).
+
+        The memo is keyed on identity: per stage its fields, its Func's
+        name and dtype, the Func, value and reduction objects, and the
+        schedule fields the nest depends on, plus the frame shape — so a
+        ``define``, an ``update`` or an in-place schedule change lowers
+        afresh, while an equal copy of a schedule (what a warm start
+        installs) reuses the lowering.  The entry keeps the keyed objects
+        alive, so their identities stay unambiguous.
         """
         from .lower import lower_pipeline
 
-        key = self._lowering_key(frame_shape)
+        frame_shape = tuple(frame_shape)
+        key = (frame_shape,) + tuple([_stage_identity(stage)
+                                      for stage in self.stages])
         # Locked: concurrent requests share one lowering (and its kernels).
         with self._lower_lock:
-            lowered = self._lowered_cache.pop(key, None)
-            if lowered is None:
-                lowered = lower_pipeline(self, frame_shape)
-            self._lowered_cache[key] = lowered   # (re-)insert as most recent
+            entry = self._lowered_cache.pop(key, None)
+            if entry is None:
+                entry = (lower_pipeline(self, frame_shape),
+                         [(stage.func, stage.func.value, stage.func.reduction)
+                          for stage in self.stages])
+            self._lowered_cache[key] = entry   # (re-)insert as most recent
             while len(self._lowered_cache) > self.MAX_LOWERED_CACHE:
                 self._lowered_cache.pop(next(iter(self._lowered_cache)))
-        return lowered
+        return entry[0]
 
     def describe(self, frame_shape: tuple[int, ...]) -> str:
         """The executed plan for this frame shape: per-stage compute levels,

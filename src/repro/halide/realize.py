@@ -257,18 +257,19 @@ def _func_nest(func: Func, out_shape: tuple[int, ...],
                source_shape: tuple[int, ...] | None):
     """The :func:`~repro.halide.lower.lower_func` nest for this call, memoized.
 
-    The key holds everything the nest's structure depends on — the Func's
-    name, whether it has a pure value, its reduction (whose associativity
-    also needs an integer dtype), tiling and parallel flag, and both shapes
-    — so an ``update`` or an in-place schedule change lowers afresh.  A
-    ``define`` that replaces a value needs no new nest: its nodes execute
-    the Func itself.  Identities in the key stay unambiguous because the
-    entry keeps the Func (through the nest's nodes) and its reduction alive.
+    The key holds the objects that define the Func — its value and
+    reduction (by identity), dtype and variable names — plus its name,
+    tiling, parallel flag and both shapes, so a ``define``, an ``update`` or
+    an in-place schedule change lowers afresh.  The nest's nodes memoize
+    their kernels, so a warm call resolves none.  Identities in the key stay
+    unambiguous because the entry keeps the Func (through the nest's nodes),
+    its value and its reduction alive.
     """
     schedule = func.schedule
-    key = (id(func), func.name, func.value is None, id(func.reduction),
-           func.dtype.is_integer, schedule.tile_x, schedule.tile_y,
-           schedule.parallel, out_shape, source_shape)
+    key = (id(func), func.name, id(func.value), id(func.reduction),
+           func.dtype, tuple([var.name for var in func.variables]),
+           schedule.tile_x, schedule.tile_y, schedule.parallel, out_shape,
+           source_shape)
     with _NESTS_LOCK:
         entry = _NESTS.pop(key, None)
         if entry is not None:
@@ -276,7 +277,8 @@ def _func_nest(func: Func, out_shape: tuple[int, ...],
             return entry[0]
     nest = lower_func(func, out_shape, source_shape)
     with _NESTS_LOCK:
-        _NESTS[key] = (nest, func.reduction, out_shape, source_shape)
+        _NESTS[key] = (nest, out_shape, source_shape, func.value,
+                       func.reduction)
         while len(_NESTS) > MAX_FUNC_NESTS:
             del _NESTS[next(iter(_NESTS))]
     return nest
@@ -286,7 +288,7 @@ def executed_nests(func: Func) -> list[tuple]:
     """``(out_shape, source_shape, nest)`` for each nest :func:`realize`
     memoized for ``func`` (what ``python -m repro run --explain`` prints)."""
     with _NESTS_LOCK:
-        return [(entry[2], entry[3], entry[0])
+        return [(entry[1], entry[2], entry[0])
                 for key, entry in list(_NESTS.items()) if key[0] == id(func)]
 
 
@@ -304,11 +306,11 @@ def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray
 
     Every engine runs the Func's schedule through the same loop nest
     (:func:`repro.halide.lower.lower_func`, memoized per definition, schedule
-    and shapes) on the shared executor: a tiled schedule marked ``parallel``
-    executes its tiles across the shared worker pool (``REPRO_NUM_THREADS``
-    sizes it, ``REPRO_PARALLEL=0`` disables it), an associative reduction its
-    RDom strips.  For many inputs through one function, see
-    :func:`repro.halide.serve.realize_batch`.
+    and shapes, its kernels memoized on its nodes) on the shared executor: a
+    tiled schedule marked ``parallel`` executes its tiles across the shared
+    worker pool (``REPRO_NUM_THREADS`` sizes it, ``REPRO_PARALLEL=0``
+    disables it), an associative reduction its RDom strips.  For many inputs
+    through one function, see :func:`repro.halide.serve.realize_batch`.
     """
     if func.value is None and func.reduction is None:
         raise RealizationError(f"function {func.name} has no definition")
@@ -324,7 +326,6 @@ def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray
                 f"no binding for reduction source {func.reduction[0].source}")
         source_shape = tuple(source.shape)
     nest = _func_nest(func, out_shape, source_shape)
-    kernels = backend.kernels(func)
     bound = dict(buffers)
     name = func_output_buffer(func)
     if not isinstance(nest, Store):
@@ -332,8 +333,7 @@ def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray
         # whole-output Store materializes it itself.
         allocate = np.empty if func.value is not None else np.zeros
         bound[name] = allocate(out_shape, dtype=func.dtype.to_numpy())
-    backend.run(nest, bound, params,
-                frame_shape=source_shape or out_shape, kernels=kernels)
+    backend.run(nest, bound, params, frame_shape=source_shape or out_shape)
     return bound[name]
 
 

@@ -6,11 +6,11 @@ the repo the same amortization: every tuning session's winner is persisted
 in the :class:`~repro.store.store.ArtifactStore` under a dedicated
 ``tuning/`` stage, keyed by
 
-* the **workload identity** — for pipelines, the schedule-stripped
-  ``FuncPipeline._lowering_key`` (stage names, expressions, padding, dtypes
-  and the frame shape; the *schedules* are the record's payload, so they are
-  excluded from the key), and for single Funcs the expression/reduction
-  structure plus the realization shape;
+* the **workload identity** — for pipelines, :func:`pipeline_workload`
+  (stage names, expressions, padding, dtypes and the frame shape; the
+  *schedules* are the record's payload, so they are excluded from the key),
+  and for single Funcs the expression/reduction structure plus the
+  realization shape;
 * the **machine fingerprint** — architecture, OS and CPU count.  Timings do
   not transfer across machines, so a foreign record must be a clean miss,
   never a wrong-schedule hit;
@@ -116,15 +116,31 @@ def tuning_manifest_is_current(manifest: dict) -> bool:
             and key.get("version") == TUNING_VERSION)
 
 
+def _reduction_key(func: Func):
+    """Structural key of a Func's reduction update (None without one)."""
+    if func.reduction is None:
+        return None
+    rdom, index_exprs, update = func.reduction
+    return (rdom.name, rdom.source, rdom.dimensions,
+            tuple(e.cached_key() for e in index_exprs), update.cached_key())
+
+
 def pipeline_workload(pipeline, frame_shape) -> tuple:
     """Workload identity of a FuncPipeline at one frame shape.
 
-    Uses the schedule-stripped lowering key: the stored record *is* the
-    schedule assignment, so a lookup must succeed whatever schedules the
-    pipeline currently carries.
+    The pipeline's structure — per stage its name, input, padding, Func
+    name and dtype, value and reduction expressions — and the frame shape,
+    but no schedule: the stored record *is* the schedule assignment, so a
+    lookup must succeed whatever schedules the pipeline currently carries.
     """
-    return ("pipeline",) + pipeline._lowering_key(
-        tuple(int(d) for d in frame_shape), include_schedules=False)
+    parts = tuple(
+        (stage.name, stage.input_name, stage.pad, stage.pad_width,
+         stage.func.name, stage.func.dtype,
+         stage.func.value.cached_key() if stage.func.value is not None
+         else None,
+         _reduction_key(stage.func))
+        for stage in pipeline.stages)
+    return ("pipeline", tuple(int(d) for d in frame_shape), parts)
 
 
 def func_workload(func: Func, np_shape) -> tuple:
@@ -134,15 +150,9 @@ def func_workload(func: Func, np_shape) -> tuple:
     callers holding the x-first ``realize`` shape reverse it first so the
     tune-time and serve-time keys agree.
     """
-    reduction_key = None
-    if func.reduction is not None:
-        rdom, index_exprs, update = func.reduction
-        reduction_key = (rdom.name, rdom.source, rdom.dimensions,
-                         tuple(e.cached_key() for e in index_exprs),
-                         update.cached_key())
     return ("func", func.name, str(func.dtype),
             func.value.cached_key() if func.value is not None else None,
-            reduction_key,
+            _reduction_key(func),
             tuple(int(d) for d in np_shape))
 
 

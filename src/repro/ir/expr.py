@@ -425,10 +425,6 @@ def shr(a: Expr, b: Expr, dtype: DType | None = None) -> BinOp:
     return BinOp(Op.SHR, a, b, dtype)
 
 
-def bits_and(a: Expr, b: Expr, dtype: DType | None = None) -> BinOp:
-    return BinOp(Op.AND, a, b, dtype)
-
-
 def structural_signature(expr: Expr, ignore_leaf_values: bool = True) -> tuple:
     """A hashable signature of a tree's structure.
 

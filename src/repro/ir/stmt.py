@@ -247,8 +247,8 @@ class Store(Stmt):
     eval_origin: tuple[Scalar, ...]
     param_exprs: dict[str, Scalar] = field(default_factory=dict)
     label: str = ""
-    #: Executor memo: per-backend evaluator handles, so repeated tiles skip
-    #: the kernel-cache key computation, and the scalar positions compiled
+    #: Executor memo: per-backend evaluator handles, so repeated tiles and
+    #: frames make no kernel-cache lookup, and the scalar positions compiled
     #: once (lowered trees are immutable, so the memo can never go stale).
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 

@@ -40,9 +40,6 @@ class Numbering:
     ids: dict[Expr, int] = field(default_factory=dict)
     uses: dict[int, int] = field(default_factory=dict)
 
-    def id_of(self, expr: Expr) -> int:
-        return self.ids[expr]
-
 
 def number_subtrees(roots: Sequence[Expr],
                     skip_children: Callable[[Expr], bool] | None = None) -> Numbering:

@@ -37,9 +37,6 @@ class Conv2DSpec:
     reciprocal: int | None = None
     unroll: int = 3
 
-    def reference_weights(self) -> Taps:
-        return dict(self.taps)
-
 
 # Argument offsets for the standard stencil signature.
 ARG_SRC, ARG_DST, ARG_WIDTH, ARG_HEIGHT = (arg_offset(i) for i in range(4))

@@ -82,10 +82,6 @@ class Emulator:
         tool.attached(self)
         self._rebind_hooks()
 
-    def detach_all(self) -> None:
-        self._tools.clear()
-        self._rebind_hooks()
-
     def _rebind_hooks(self) -> None:
         self._block_hooks = [t.on_block for t in self._tools if hasattr(t, "on_block")]
         self._call_hooks = [t.on_call for t in self._tools if hasattr(t, "on_call")]
@@ -181,11 +177,6 @@ class Emulator:
         if self._tracing:
             self._access_log.append(MemoryAccess(address, width, True, value,
                                                  self._take_expression()))
-
-    def log_access(self, address: int, width: int, is_write: bool,
-                   value: int | float = 0) -> None:
-        self._access_log.append(MemoryAccess(address, width, is_write, value,
-                                             self._take_expression()))
 
     def _take_expression(self) -> Optional[AddressExpression]:
         expr = self._current_expression

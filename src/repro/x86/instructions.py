@@ -134,10 +134,6 @@ class Instruction:
     labels: tuple[str, ...] = field(default_factory=tuple)
 
     @property
-    def is_conditional_jump(self) -> bool:
-        return self.mnemonic in CONDITIONAL_JUMPS
-
-    @property
     def is_block_terminator(self) -> bool:
         return self.mnemonic in BLOCK_TERMINATORS
 
@@ -148,9 +144,6 @@ class Instruction:
     @property
     def writes_flags(self) -> bool:
         return self.mnemonic in FLAG_WRITERS
-
-    def memory_operands(self) -> list[Mem]:
-        return [op for op in self.operands if isinstance(op, Mem)]
 
     def __str__(self) -> str:
         if not self.operands:

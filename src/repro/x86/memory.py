@@ -45,9 +45,6 @@ class Memory:
             self._pages[base] = page
         return page, address - base
 
-    def touched_pages(self) -> list[int]:
-        return sorted(self._pages)
-
     # -- raw byte access -------------------------------------------------
 
     def read_bytes(self, address: int, length: int) -> bytes:
@@ -106,11 +103,6 @@ class Memory:
             self.allocations[name] = (address, size)
         return address
 
-    def page_dump(self, addresses: set[int]) -> dict[int, bytes]:
-        """Dump every page containing any of the given addresses."""
-        pages = sorted({addr & PAGE_MASK for addr in addresses})
-        return {base: bytes(self._pages.get(base, bytes(PAGE_SIZE))) for base in pages}
-
     def snapshot(self) -> "MemorySnapshot":
         """An immutable, serializable copy of every touched page."""
         return MemorySnapshot({base: bytes(page) for base, page in self._pages.items()})
@@ -127,9 +119,6 @@ class MemorySnapshot:
 
     def __init__(self, pages: dict[int, bytes]) -> None:
         self._pages = dict(pages)
-
-    def touched_pages(self) -> list[int]:
-        return sorted(self._pages)
 
     def read_bytes(self, address: int, length: int) -> bytes:
         out = bytearray()

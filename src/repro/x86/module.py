@@ -91,12 +91,6 @@ class Program:
 
     # -- construction -----------------------------------------------------
 
-    def add_module(self, module: Module) -> Module:
-        if self._loaded:
-            raise LinkError("cannot add modules after load()")
-        self.modules.append(module)
-        return module
-
     def add_external(self, external: ExternalFunction) -> ExternalFunction:
         external.address = EXTERNAL_BASE + 16 * len(self.externals)
         self.externals[external.name] = external
@@ -140,6 +134,3 @@ class Program:
 
     def next_address(self, instruction: Instruction) -> int:
         return instruction.address + INSTRUCTION_SPACING
-
-    def total_instructions(self) -> int:
-        return len(self.instruction_at)

@@ -92,7 +92,3 @@ def register_address(name: str) -> int:
 def is_register_address(address: int) -> bool:
     """True when an address lies in the reserved register pseudo space."""
     return address >= REGISTER_SPACE_BASE
-
-
-def parent_register(name: str) -> str:
-    return REGISTER_MAP[name].parent if name in REGISTER_MAP else name

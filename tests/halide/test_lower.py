@@ -447,6 +447,62 @@ class TestLoweringMemo:
         assert len(lowered) == 8 * 25
         assert len({id(nest) for nest in lowered}) == 1
 
+    @pytest.mark.parametrize("engine", ["compiled", "native"])
+    def test_warm_calls_make_no_kernel_lookup(self, image, engine):
+        """A warm ``realize`` or ``FuncPipeline.realize`` finds its nest by
+        identity, and the nest's nodes hold their kernels."""
+        from repro.halide import kernel_cache_stats
+
+        func = _stencil("f", "input_1", [(0, 1), (1, 1), (2, 1)]).tile(16, 8)
+        padded = np.pad(image, 1, mode="edge")
+        pipeline = _two_stage(schedule="none")
+        realize(func, (WIDTH, HEIGHT), {"input_1": padded}, engine=engine)
+        pipeline.realize(image, engine=engine)
+        lookups = kernel_cache_stats["hits"] + kernel_cache_stats["misses"]
+        for _ in range(4):
+            realize(func, (WIDTH, HEIGHT), {"input_1": padded}, engine=engine)
+            pipeline.realize(image, engine=engine)
+        assert kernel_cache_stats["hits"] + kernel_cache_stats["misses"] \
+            == lookups
+
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "native"])
+    def test_define_after_realize_changes_the_next_output(self, image,
+                                                          engine):
+        func = _stencil("f", "input_1", [(0, 1), (1, 1), (2, 1)])
+        padded = np.pad(image, 1, mode="edge")
+        shape = (WIDTH, HEIGHT)
+        before = realize(func, shape, {"input_1": padded}, engine=engine)
+        func.define(_stencil("g", "input_1", [(1, 0), (1, 2)]).value)
+        after = realize(func, shape, {"input_1": padded}, engine=engine)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(
+            after, realize_interp(func, shape, {"input_1": padded}))
+
+        pipeline = _two_stage(schedule="none")
+        before = pipeline.realize(image, engine=engine)
+        by = pipeline.stages[1].func
+        by.define(_stencil("by", "bx_buf", [(0, 1), (2, 1)]).value)
+        after = pipeline.realize(image, engine=engine)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, pipeline.realize_interp(image))
+
+    def test_schedule_change_relowers_and_equal_copy_reuses(self, image,
+                                                           oracle):
+        from dataclasses import replace
+
+        pipeline = _two_stage(schedule="none")
+        untiled = pipeline.lower(image.shape)
+        by = pipeline.stages[1].func
+        by.tile(16, 8)
+        tiled = pipeline.lower(image.shape)
+        assert tiled is not untiled
+        # A warm start installs an equal copy of a schedule: same lowering.
+        by.schedule = replace(by.schedule)
+        assert pipeline.lower(image.shape) is tiled
+        by.vectorize(4)
+        assert pipeline.lower(image.shape) is not tiled
+        np.testing.assert_array_equal(pipeline.realize(image), oracle)
+
 
 class TestParallelLoweredLoops:
     def test_parallel_tiles_bit_identical_and_tallied(self, image, oracle):
@@ -495,8 +551,9 @@ class TestBackendInterface:
         origin, extent = (5, 7), (11, 13)
         blocks = {}
         for name in backend_names():
-            blocks[name] = get_backend(name).evaluate_region(
-                func, origin, extent, {"input_1": np.pad(image, 2, "edge")}, {})
+            evaluate, _reduce = get_backend(name).kernels(func)
+            blocks[name] = evaluate(
+                origin, extent, {"input_1": np.pad(image, 2, "edge")}, {}, None)
         np.testing.assert_array_equal(blocks["interp"], blocks["compiled"])
         assert blocks["interp"].shape == extent
 

@@ -384,6 +384,39 @@ class TestCaching:
         assert final["store_hits"] > warm["store_hits"]
         np.testing.assert_array_equal(out_cold, out_warm)
 
+    def test_warm_frames_skip_the_nest_walk_until_reset(
+            self, tmp_path, monkeypatch):
+        from repro.store import STORE_DIR_ENV
+
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        reset_native_caches()
+        pipeline = _blur2_pipeline()
+        image = _frame(31)
+        oracle = pipeline.realize_interp(image)
+        lowered = pipeline.lower(image.shape)
+        pipeline.realize(image, engine="native")
+
+        def walk():
+            raise AssertionError("a warm frame walked the nest")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lowered.stmt, "walk", walk)
+            before = native_stats()
+            out = pipeline.realize(image, engine="native")
+            after = native_stats()
+        np.testing.assert_array_equal(out, oracle)
+        assert after["native_frames"] == before["native_frames"] + 1
+        assert after["degraded"] == before["degraded"]
+        # After a reset the same lowering's next frame is served from the
+        # store again, with no compiler invocation.
+        reset_native_caches()
+        np.testing.assert_array_equal(
+            pipeline.realize(image, engine="native"), oracle)
+        final = native_stats()
+        assert pipeline.lower(image.shape) is lowered
+        assert final["store_hits"] == after["store_hits"] + 1
+        assert final["compiles"] == after["compiles"]
+
     def test_in_process_so_cache_dedupes_identical_nests(self):
         image = _frame(19)
         first = _blur2_pipeline()

@@ -190,11 +190,9 @@ class TestBitIdentity:
         outs = {}
         for name in backend_names():
             out = np.zeros(image.shape, dtype=np.uint32)
-            backend = get_backend(name)
-            backend.reduce_region(func, out, (0, 0), (20, WIDTH),
-                                  {"input_1": image}, {})
-            backend.reduce_region(func, out, (20, 0), (HEIGHT - 20, WIDTH),
-                                  {"input_1": image}, {})
+            _evaluate, reduce = get_backend(name).kernels(func)
+            reduce(out, (0, 0), (20, WIDTH), {"input_1": image}, {})
+            reduce(out, (20, 0), (HEIGHT - 20, WIDTH), {"input_1": image}, {})
             outs[name] = out
         np.testing.assert_array_equal(outs["interp"], outs["compiled"])
 

@@ -265,11 +265,9 @@ class TestCacheUnderConcurrentBatches:
         for worker in workers:
             worker.join()
         assert not failures
+        # Every other lookup — warm compiles and each racing first request's
+        # nest — hit the one cached kernel; warm requests make none.
         assert kernel_cache_stats["misses"] == 1
-        # Every other lookup — warm compiles and per-request realizations —
-        # hit the one cached kernel; the counters stayed exact under racing.
-        assert kernel_cache_stats["hits"] + kernel_cache_stats["misses"] >= \
-            1 + threads * (1 + len(requests))
 
 class TestInterruptHandling:
     """Operator interrupts are not request failures (narrowed handlers)."""

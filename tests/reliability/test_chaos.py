@@ -209,6 +209,7 @@ class TestTargetedScenarios:
         server = PipelineServer(func)
         try:
             clear_kernel_cache()
+            reset_execution_stats()
             with inject("compile.kernel:n=1"):
                 future = server.submit(shape=(WIDTH, HEIGHT),
                                        buffers={"input_1": frame}, retries=1)
@@ -216,7 +217,9 @@ class TestTargetedScenarios:
         finally:
             server.close(wait=True)
         np.testing.assert_array_equal(out, oracle)
-        assert server.stats()["retries"] >= 1
+        # The kernel compiles at the nest's first Store, inside a parallel
+        # tile: the tile retry absorbs the fault, or else the server does.
+        assert execution_stats["tile_retries"] + server.stats()["retries"] >= 1
 
     def test_injected_latency_resolves_within_the_deadline(self):
         func = tiled_blur()

@@ -106,3 +106,30 @@ class TestRunExplain:
         assert "for output_1.tile_y in [0, 0 + 3)" in out
         assert "for output_1.tile_x in [0, 0 + 2)" in out
         assert "output_1.out[(output_1.oy, output_1.ox)" in out
+
+
+class TestEngineOption:
+    def test_run_accepts_every_engine(self, store_env, capsys):
+        from repro.halide.realize import ENGINES
+
+        for engine in ENGINES:
+            assert main(["run", "photoshop", "blur", "--engine", engine,
+                         "--width", "64", "--height", "48"]) == 0
+            out = capsys.readouterr().out
+            assert "ran lifted photoshop/blur" in out
+
+    def test_tune_prints_the_key_its_record_is_stored_under(self, store_env,
+                                                           capsys):
+        # A record is keyed by the engine it was tuned for, which need not
+        # be the process default.
+        from repro.halide.realize import get_default_engine
+
+        engine = "interp" if get_default_engine() != "interp" else "compiled"
+        assert main(["tune", "photoshop", "invert", "--engine", engine,
+                     "--width", "32", "--height", "24", "--iterations", "2",
+                     "--top-k", "1"]) == 0
+        out = capsys.readouterr().out
+        printed = out.split("record: tuning/")[1].split()[0]
+        stored = [path.stem for path in (store_env / "tuning").glob("*.pkl")]
+        assert len(stored) == 1
+        assert stored[0].startswith(printed)
