@@ -8,6 +8,8 @@ at roughly 1x.
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro.rejuvenation import (
@@ -24,6 +26,10 @@ PAPER_SPEEDUPS = {
     "sharpen_edges": 1.10, "despeckle": 1.01, "equalize": 0.93, "brightness": 0.99,
 }
 PARAMS = {"threshold": 128, "brightness": 40}
+#: Alternating legacy/in-situ rounds per filter; the speedup is the median
+#: of the per-round ratios, so host drift and one-sided load spikes cancel
+#: within a round (as in test_fig9_resilience.py).
+ROUNDS = 5
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +37,24 @@ def fig9_rows(bench_planes):
     rows = []
     for name, paper in PAPER_SPEEDUPS.items():
         lifted = lift_photoshop_filter(name)
-        legacy_time = time_callable(lambda: legacy_photoshop_filter(name, bench_planes, PARAMS), 2)
-        insitu_time = time_callable(lambda: insitu_lifted_photoshop(lifted, name,
-                                                                    bench_planes, PARAMS), 2)
-        speedup = legacy_time / insitu_time if insitu_time else float("inf")
-        rows.append([name, f"{legacy_time * 1000:.1f}", f"{insitu_time * 1000:.1f}",
+        run_legacy = lambda: legacy_photoshop_filter(name, bench_planes, PARAMS)
+        run_insitu = lambda: insitu_lifted_photoshop(lifted, name, bench_planes, PARAMS)
+        run_legacy()
+        run_insitu()                      # warm-up: kernel compile, caches
+        legacy_samples, insitu_samples, ratios = [], [], []
+        for round_index in range(ROUNDS):
+            if round_index % 2 == 0:
+                legacy_time = time_callable(run_legacy, 1)
+                insitu_time = time_callable(run_insitu, 1)
+            else:
+                insitu_time = time_callable(run_insitu, 1)
+                legacy_time = time_callable(run_legacy, 1)
+            legacy_samples.append(legacy_time)
+            insitu_samples.append(insitu_time)
+            ratios.append(legacy_time / insitu_time if insitu_time else float("inf"))
+        speedup = statistics.median(ratios)
+        rows.append([name, f"{min(legacy_samples) * 1000:.1f}",
+                     f"{min(insitu_samples) * 1000:.1f}",
                      f"{speedup:.2f}x", f"{paper:.2f}x"])
     return rows
 
@@ -51,6 +70,7 @@ def test_fig9_insitu_table(fig9_rows, bench_planes):
     assert sum(1 for n in fully if speedups[n] > 1.0) >= 3, speedups
     # Partially-lifted filters stay close to 1x (the host still owns most of
     # the work); allow generous slack since these are millisecond-scale runs.
+    # The speedup column is the median per-round ratio (see ROUNDS).
     for name in ("equalize", "brightness", "despeckle", "sharpen_edges"):
         assert 0.6 <= speedups[name] <= 2.0, (name, speedups[name])
 

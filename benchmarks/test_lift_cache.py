@@ -14,6 +14,10 @@ flip around any fixed bar.  Quiet machines measure 9-15x and the worst
 loaded-host sample observed is 7x, so the 6x bar stays clear of timing
 noise — while *any* recomputed stage, fast or slow, is caught exactly by
 the structural asserts (zero instrumented runs, every artifact a hit).
+
+Every cold lift starts from an empty canonicalize memo, as perfbench's do:
+the memo is process-wide, so without the reset the second and third "cold"
+lifts replay the first one's canonical trees and time no canonicalization.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import time
 from repro.apps.base import app_run_count
 from repro.apps.registry import get_scenario
 from repro.core.session import LiftSession
+from repro.ir import clear_canonicalize_cache
 from repro.store import ArtifactStore
 
 from conftest import print_table, record_bench
@@ -58,6 +63,7 @@ def test_lift_cache_cold_vs_warm(tmp_path):
     cold_samples = []
     for i in range(COLD_RUNS):
         store = ArtifactStore(tmp_path / f"store{i}")
+        clear_canonicalize_cache()
         cold_seconds, cold_runs, cold_session = timed_lift(store)
         assert cold_runs == 4, \
             "a cold lift performs the full instrumented workflow"

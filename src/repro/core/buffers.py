@@ -8,7 +8,7 @@ absolute addresses in concrete trees into buffer coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

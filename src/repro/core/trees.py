@@ -30,6 +30,7 @@ from ..ir import (
     Cast,
     Const,
     Expr,
+    FirstPassMemo,
     MemLoad,
     Op,
     Param,
@@ -177,6 +178,9 @@ class TreeBuilder:
         self.warnings: list[str] = []
         self._fpu_tops = forward.fpu_tops or compute_fpu_tops(trace.records)
         self._record_index = 0
+        #: ``lea`` re-canonicalizes the raw pointer chains that loops grow in
+        #: registers; this memo carries their first passes between calls.
+        self._lea_memo = FirstPassMemo()
 
     # -- environment access -------------------------------------------------
 
@@ -460,7 +464,7 @@ def _h_lea(builder, record):
             BinOp(Op.MUL, index_expr, Const(src.scale, INT32), UINT32)
         expr = BinOp(Op.ADD, expr, scaled, UINT32)
         tags = tags | index_tags
-    _dst_write(builder, record, dst, canonicalize(expr), tags)
+    _dst_write(builder, record, dst, canonicalize(expr, builder._lea_memo), tags)
 
 
 def _binary(builder, record, op_name):

@@ -30,7 +30,6 @@ from ...ir import (
     AccumMerge,
     Allocate,
     Block,
-    Expr,
     For,
     IfThenElse,
     Let,

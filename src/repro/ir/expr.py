@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .types import DType, INT32, UINT8, UINT32
+from .types import DType, INT32, UINT8
 
 
 class Op:
@@ -55,7 +55,11 @@ class Expr:
     is what the rewriting passes use.
     """
 
-    __slots__ = ("_hash", "_key")
+    #: Memo slots, filled on demand and never pickled.  ``_key``/``_hash``
+    #: cache the structural key and its hash; ``_size`` packs the node count
+    #: with the canonical mark (``count << 1 | canonical``, see
+    #: :meth:`mark_canonical`); ``_params`` caches :meth:`param_values`.
+    __slots__ = ("_hash", "_key", "_size", "_params")
 
     dtype: DType
 
@@ -106,17 +110,17 @@ class Expr:
     def __getstate__(self) -> dict:
         """Pickle only the structural slots, never the memo slots.
 
-        ``_key`` is pure redundancy, and ``_hash`` is poison across
+        The memo slots are pure redundancy, and ``_hash`` is poison across
         processes: tuple hashes involve string hashes, which are randomized
         per interpreter run, so a persisted ``_hash`` would break dict/set
-        lookups after deserialization.  Dropping both also makes the bytes
-        of two structurally identical trees identical, which the artifact
-        store's determinism guarantees rely on.
+        lookups after deserialization.  Dropping them also makes the bytes
+        of two structurally identical trees identical whatever was memoized
+        on either, which the artifact store's determinism guarantees rely on.
         """
         state = {}
         for cls in type(self).__mro__:
             for slot in getattr(cls, "__slots__", ()):
-                if slot in ("_hash", "_key") or slot in state:
+                if slot in _MEMO_SLOTS or slot in state:
                     continue
                 try:
                     state[slot] = getattr(self, slot)
@@ -139,7 +143,50 @@ class Expr:
             stack.extend(reversed(node.children))
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.walk())
+        """Nodes in the tree, a shared subtree counted once per use (memoized)."""
+        size = getattr(self, "_size", None)
+        if size is None:
+            count = 1
+            for child in self.children:
+                count += child.node_count()
+            size = count << 1
+            object.__setattr__(self, "_size", size)
+        return size >> 1
+
+    def is_canonical(self) -> bool:
+        """Whether :func:`~repro.ir.simplify.simplify` proved this tree canonical."""
+        return getattr(self, "_size", 0) & 1 == 1
+
+    def mark_canonical(self) -> None:
+        """Record that one simplify pass maps every subtree to an equal tree.
+
+        That is a property of the structure alone, so the mark stays valid
+        for the node's lifetime and holds for every structurally equal tree.
+        """
+        object.__setattr__(self, "_size", self.node_count() << 1 | 1)
+
+    def param_values(self) -> tuple:
+        """The values of the tree's Param leaves, pre-order.
+
+        Memoized on this node only (subtrees reuse what they already hold),
+        so trees kept alive carry one tuple per canonicalized root.
+        """
+        values = getattr(self, "_params", None)
+        if values is None:
+            found: list = []
+            stack: list[Expr] = [self]
+            while stack:
+                node = stack.pop()
+                held = getattr(node, "_params", None)
+                if held is not None:
+                    found.extend(held)
+                elif isinstance(node, Param):
+                    found.append(node.value)
+                else:
+                    stack.extend(reversed(node.children))
+            values = tuple(found)
+            object.__setattr__(self, "_params", values)
+        return values
 
     def depth(self) -> int:
         if not self.children:
@@ -147,10 +194,18 @@ class Expr:
         return 1 + max(child.depth() for child in self.children)
 
     def transform(self, fn: Callable[["Expr"], "Expr"]) -> "Expr":
-        """Rebuild the tree bottom-up, applying ``fn`` to every node."""
-        new_children = [child.transform(fn) for child in self.children]
+        """Rebuild the tree bottom-up, applying ``fn`` to every node.
+
+        A node is rebuilt only when a child changed structurally; an
+        equal-but-new child leaves the original node (and its children) in
+        place.
+        """
+        children = self.children
+        if not children:
+            return fn(self)
+        new_children = [child.transform(fn) for child in children]
         node = self
-        if new_children != list(self.children):
+        if new_children != list(children):
             node = self.with_children(new_children)
         return fn(node)
 
@@ -161,6 +216,9 @@ class Expr:
         return [node for node in self.walk() if not node.children]
 
 
+_MEMO_SLOTS = frozenset(Expr.__slots__)
+
+
 # ---------------------------------------------------------------------------
 # Leaves
 # ---------------------------------------------------------------------------
@@ -169,7 +227,7 @@ class Expr:
 class Const(Expr):
     """A literal constant."""
 
-    __slots__ = ("value", "dtype", "_hash", "_key")
+    __slots__ = ("value", "dtype")
 
     def __init__(self, value: int | float, dtype: DType = INT32):
         object.__setattr__(self, "value", dtype.wrap(value))
@@ -191,7 +249,7 @@ class Param(Expr):
     the trace is retained so generated code can be validated.
     """
 
-    __slots__ = ("name", "value", "dtype", "_hash", "_key")
+    __slots__ = ("name", "value", "dtype")
 
     def __init__(self, name: str, value: int | float = 0, dtype: DType = INT32):
         object.__setattr__(self, "name", name)
@@ -208,7 +266,7 @@ class Param(Expr):
 class Var(Expr):
     """A symbolic loop variable (``x_0``, ``x_1``, ...) of a symbolic tree."""
 
-    __slots__ = ("name", "dtype", "_hash", "_key")
+    __slots__ = ("name", "dtype")
 
     def __init__(self, name: str, dtype: DType = INT32):
         object.__setattr__(self, "name", name)
@@ -224,7 +282,7 @@ class Var(Expr):
 class MemLoad(Expr):
     """A concrete-tree leaf: a load from an absolute memory address."""
 
-    __slots__ = ("address", "dtype", "_hash", "_key")
+    __slots__ = ("address", "dtype")
 
     def __init__(self, address: int, dtype: DType = UINT8):
         object.__setattr__(self, "address", address)
@@ -246,7 +304,7 @@ class BufferAccess(Expr):
     indirect accesses such as lookup tables.
     """
 
-    __slots__ = ("buffer", "indices", "dtype", "_hash", "_key")
+    __slots__ = ("buffer", "indices", "dtype")
 
     def __init__(self, buffer: str, indices: Sequence[Expr], dtype: DType = UINT8):
         object.__setattr__(self, "buffer", buffer)
@@ -276,7 +334,7 @@ class BufferAccess(Expr):
 class BinOp(Expr):
     """A binary arithmetic / logical / comparison operation."""
 
-    __slots__ = ("op", "a", "b", "dtype", "_hash", "_key")
+    __slots__ = ("op", "a", "b", "dtype")
 
     def __init__(self, op: str, a: Expr, b: Expr, dtype: DType | None = None):
         object.__setattr__(self, "op", op)
@@ -304,7 +362,7 @@ class BinOp(Expr):
 class UnOp(Expr):
     """A unary operation (negation, bitwise not, abs)."""
 
-    __slots__ = ("op", "a", "dtype", "_hash", "_key")
+    __slots__ = ("op", "a", "dtype")
 
     def __init__(self, op: str, a: Expr, dtype: DType | None = None):
         object.__setattr__(self, "op", op)
@@ -329,7 +387,7 @@ class UnOp(Expr):
 class Cast(Expr):
     """An explicit conversion, including the paper's downcast ("DC") nodes."""
 
-    __slots__ = ("a", "dtype", "_hash", "_key")
+    __slots__ = ("a", "dtype")
 
     def __init__(self, dtype: DType, a: Expr):
         object.__setattr__(self, "a", a)
@@ -353,7 +411,7 @@ class Cast(Expr):
 class Select(Expr):
     """A conditional expression: ``cond ? if_true : if_false``."""
 
-    __slots__ = ("cond", "if_true", "if_false", "dtype", "_hash", "_key")
+    __slots__ = ("cond", "if_true", "if_false", "dtype")
 
     def __init__(self, cond: Expr, if_true: Expr, if_false: Expr):
         object.__setattr__(self, "cond", cond)
@@ -379,7 +437,7 @@ class Select(Expr):
 class Call(Expr):
     """A call to a known external library function (``sqrt``, ``floor``...)."""
 
-    __slots__ = ("func", "args", "dtype", "_hash", "_key")
+    __slots__ = ("func", "args", "dtype")
 
     def __init__(self, func: str, args: Sequence[Expr], dtype: DType):
         object.__setattr__(self, "func", func)

@@ -10,17 +10,71 @@ instruction mix — hash to the same cluster.  Two rewrites matter most:
   cancelling matching positive/negative terms.  This is the rewrite that
   undoes Photoshop's sliding-window box blur (section 6.3): the incremental
   ``window += new - old`` chain collapses back to the plain 9-point sum.
+
+This rewrite is most of a cold lift, so it pays once per node where it can:
+node counts and Param values are memoized on the nodes, operand sort keys
+are built from the children's within one :func:`simplify` call, subtrees a
+pass proved canonical are marked and skipped by later passes and calls, and
+a :class:`FirstPassMemo` carries first-pass results of raw subtrees from one
+call to the next.  None of it changes a result, down to which nodes are
+shared: a rewritten node is new exactly where the plain algorithm makes a
+new one, so the pickled artifacts stay byte-identical.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 
 from .expr import BinOp, BufferAccess, Cast, Call, Const, Expr, MemLoad, Op, Param, Select, UnOp, Var
-from .types import DType, FLOAT64, INT64
+from .types import DType, FLOAT64, INT64, clear_dtype_reprs
+
+#: Per-call memo of key texts: ``id(node) -> (node, text)``.  Holding the
+#: node keeps its id from being reused within the call.
+KeyTexts = dict[int, tuple[Expr, str]]
 
 
-def _order_key(expr: Expr) -> tuple:
+def _key_text(node: Expr, texts: KeyTexts) -> str:
+    """``str(node.key())``, built from the children's texts and memoized."""
+    entry = texts.get(id(node))
+    if entry is not None:
+        return entry[1]
+    kind = type(node)
+    if kind is BinOp:
+        text = (f"('binop', {node.op!r}, {_key_text(node.a, texts)}, "
+                f"{_key_text(node.b, texts)}, {node.dtype!r})")
+    elif kind is Const:
+        text = f"('const', {node.value!r}, {node.dtype!r})"
+    elif kind is MemLoad:
+        text = f"('memload', {node.address!r}, {node.dtype!r})"
+    elif kind is Param:
+        text = f"('param', {node.name!r}, {node.dtype!r})"
+    elif kind is Cast:
+        text = f"('cast', {node.dtype!r}, {_key_text(node.a, texts)})"
+    elif kind is UnOp:
+        text = f"('unop', {node.op!r}, {_key_text(node.a, texts)}, {node.dtype!r})"
+    elif kind is Var:
+        text = f"('var', {node.name!r})"
+    elif kind is Select:
+        text = (f"('select', {_key_text(node.cond, texts)}, "
+                f"{_key_text(node.if_true, texts)}, {_key_text(node.if_false, texts)})")
+    elif kind is BufferAccess:
+        text = (f"('bufaccess', {node.buffer!r}, {_tuple_text(node.indices, texts)}, "
+                f"{node.dtype!r})")
+    elif kind is Call:
+        text = f"('call', {node.func!r}, {_tuple_text(node.args, texts)}, {node.dtype!r})"
+    else:
+        text = str(node.key())
+    texts[id(node)] = (node, text)
+    return text
+
+
+def _tuple_text(items: tuple, texts: KeyTexts) -> str:
+    parts = [_key_text(item, texts) for item in items]
+    return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+
+
+def _order_key(expr: Expr, texts: KeyTexts) -> tuple:
     """Deterministic sort key used to order commutative operands."""
     if isinstance(expr, Const):
         return (0, str(expr.value))
@@ -31,8 +85,8 @@ def _order_key(expr: Expr) -> tuple:
     if isinstance(expr, MemLoad):
         return (3, f"{expr.address:016x}")
     if isinstance(expr, BufferAccess):
-        return (4, expr.buffer, tuple(_order_key(i) for i in expr.indices))
-    return (5, str(expr.key()))
+        return (4, expr.buffer, tuple(_order_key(i, texts) for i in expr.indices))
+    return (5, _key_text(expr, texts))
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -144,11 +198,12 @@ def _as_terms(expr: Expr) -> tuple[OrderedDict, int | float] | None:
     return terms, constant
 
 
-def _from_terms(terms: OrderedDict, constant: int | float, dtype: DType) -> Expr:
+def _from_terms(terms: OrderedDict, constant: int | float, dtype: DType,
+                texts: KeyTexts) -> Expr:
     """Rebuild a canonical expression from a term map."""
     ordered = sorted(
         ((term, coeff) for term, coeff in terms.items() if coeff != 0),
-        key=lambda item: _order_key(item[0]),
+        key=lambda item: _order_key(item[0], texts),
     )
     result: Expr | None = None
     negative_parts: list[Expr] = []
@@ -179,7 +234,7 @@ def _from_terms(terms: OrderedDict, constant: int | float, dtype: DType) -> Expr
 # ---------------------------------------------------------------------------
 
 
-def _simplify_node(expr: Expr) -> Expr:
+def _simplify_node(expr: Expr, texts: KeyTexts) -> Expr:
     if isinstance(expr, BinOp):
         a, b = expr.a, expr.b
         if isinstance(a, Const) and isinstance(b, Const):
@@ -219,7 +274,7 @@ def _simplify_node(expr: Expr) -> Expr:
             if expr.dtype.is_integer and mask == (1 << expr.dtype.bits) - 1:
                 return a
         # Order commutative operands deterministically.
-        if expr.op in Op.COMMUTATIVE and _order_key(b) < _order_key(a):
+        if expr.op in Op.COMMUTATIVE and _order_key(b, texts) < _order_key(a, texts):
             return BinOp(expr.op, b, a, expr.dtype)
     elif isinstance(expr, UnOp):
         if isinstance(expr.a, Const):
@@ -243,32 +298,160 @@ def _simplify_node(expr: Expr) -> Expr:
     return expr
 
 
-def simplify(expr: Expr) -> Expr:
+def _is_sum(node: Expr) -> bool:
+    """An integer +/- node, which the rewrite flattens and rebuilds."""
+    return isinstance(node, BinOp) and node.op in (Op.ADD, Op.SUB) \
+        and not node.dtype.is_float
+
+
+def _rewrite(node: Expr, texts: KeyTexts) -> Expr:
+    node = _simplify_node(node, texts)
+    if _is_sum(node):
+        terms, constant = _as_terms(node)
+        rebuilt = _from_terms(terms, constant, node.dtype, texts)
+        if rebuilt.node_count() <= node.node_count():
+            return rebuilt
+    return node
+
+
+class FirstPassMemo:
+    """First-pass results of raw subtrees that recur across simplify calls.
+
+    A register that a loop bumps (``add eax, 8``) holds a raw ``+`` chain that
+    grows by one node per iteration, and every ``lea`` through it
+    canonicalizes the whole chain again.  The first pass over a chain node is
+    a function of that node alone, so this memo keeps it, keyed by the node's
+    identity, for the owner's next calls.  A hit returns a copy whose nodes
+    are new exactly where recomputing would make new ones, so results share
+    no more nodes than uncached ones.  Holds the ``limit`` most recently used
+    integer ``+``/``-`` nodes; one owner, one thread.
+    """
+
+    #: Entries kept: a loop step reads back the chain node the previous step
+    #: stored, a few ``lea`` calls earlier.
+    limit = 64
+
+    def __init__(self) -> None:
+        #: ``id(node) -> [node, first-pass result, children canonical,
+        #: ids of the result's nodes taken from ``node`` (filled on a hit)]``
+        self._entries: OrderedDict[int, list] = OrderedDict()
+        self.hits = 0
+
+    def get(self, node: Expr) -> tuple[Expr, bool] | None:
+        """``node``'s first-pass result and children-canonical flag, if kept."""
+        entry = self._entries.get(id(node))
+        if entry is None:
+            return None
+        self._entries.move_to_end(id(node))
+        self.hits += 1
+        if entry[3] is None:
+            entry[3] = _reused_nodes(node, entry[1])
+        return _copy_new_nodes(entry[1], entry[3], {}), entry[2]
+
+    def put(self, node: Expr, result: Expr, children_canonical: bool) -> None:
+        """Keep ``result``, the first pass's result for ``node`` (used as is)."""
+        self._entries[id(node)] = [node, result, children_canonical, None]
+        if len(self._entries) > self.limit:
+            self._entries.popitem(last=False)
+
+
+def _reused_nodes(source: Expr, result: Expr) -> set[int]:
+    """Ids of the nodes of ``result`` that ``source``'s tree already held.
+
+    The walk covers all of ``source``: a node below a reused one may also
+    reach the result through a new node.
+    """
+    seen: set[int] = set()
+    stack = [source]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return seen.intersection(id(node) for node in result.walk())
+
+
+def _copy_new_nodes(node: Expr, reused: set[int], copies: dict[int, Expr]) -> Expr:
+    """``node`` with every node outside ``reused`` replaced by a new copy.
+
+    Copies keep the originals' memo slots (all structural, or equal Param
+    values) and, through ``copies``, their sharing among themselves.
+    """
+    if id(node) in reused:
+        return node
+    made = copies.get(id(node))
+    if made is None:
+        children = node.children
+        made = node.with_children([_copy_new_nodes(child, reused, copies)
+                                   for child in children]) if children else copy.copy(node)
+        for slot in Expr.__slots__:
+            value = getattr(node, slot, None)
+            if value is not None:
+                object.__setattr__(made, slot, value)
+        copies[id(node)] = made
+    return made
+
+
+def _one_pass(node: Expr, texts: KeyTexts,
+              memo: FirstPassMemo | None) -> tuple[Expr, bool]:
+    """One pass over ``node``: its result, and whether its children are canonical.
+
+    A node is canonical when the pass maps it and each of its subtrees to an
+    equal tree; the pass then returns the node itself, or for an integer sum
+    a new rebuild of it, so a marked node costs one rewrite at most.  (Not a
+    closure in ``simplify``: a recursive closure is a reference cycle, which
+    would keep each call's ``texts`` alive until the next collection.)
+    """
+    if node.is_canonical():
+        return (_rewrite(node, texts) if _is_sum(node) else node), True
+    children = node.children
+    if not children:
+        return node, True
+    if memo is not None:
+        hit = memo.get(node)
+        if hit is not None:
+            return hit
+    results = []
+    changed = False
+    children_canonical = True
+    for child in children:
+        result, canonical = _one_pass(child, texts, memo)
+        same = result is child or result == child
+        if same and canonical:
+            child.mark_canonical()
+            if result is not child:
+                result.mark_canonical()
+        else:
+            children_canonical = False
+            changed = changed or not same
+        results.append(result)
+    result = _rewrite(node.with_children(results) if changed else node, texts)
+    if memo is not None and _is_sum(node):
+        memo.put(node, result, children_canonical)
+    return result, children_canonical
+
+
+def simplify(expr: Expr, first_pass: FirstPassMemo | None = None) -> Expr:
     """Simplify and canonicalize an expression tree.
 
     Applies local rewrites bottom-up, then normalizes integer +/- chains into
-    an ordered sum-of-terms and cancels matching terms.
+    an ordered sum-of-terms and cancels matching terms, repeating the pass to
+    a fixed point (at most 8 passes).  ``first_pass`` lends the first pass
+    results from the owner's earlier calls (see :class:`FirstPassMemo`).
     """
-
-    def rewrite(node: Expr) -> Expr:
-        node = _simplify_node(node)
-        if isinstance(node, BinOp) and node.op in (Op.ADD, Op.SUB) and not node.dtype.is_float:
-            decomposed = _as_terms(node)
-            if decomposed is not None:
-                terms, constant = decomposed
-                rebuilt = _from_terms(terms, constant, node.dtype)
-                if rebuilt.node_count() <= node.node_count():
-                    return rebuilt
-        return node
-
+    texts: KeyTexts = {}
     previous = None
     current = expr
+    canonical = False
     # Iterate to a fixed point; tree sizes are small so this terminates fast.
-    for _ in range(8):
+    for index in range(8):
         if previous is not None and current == previous:
+            if canonical:
+                previous.mark_canonical()
+                current.mark_canonical()
             break
         previous = current
-        current = current.transform(rewrite)
+        current, canonical = _one_pass(previous, texts, first_pass if index == 0 else None)
     return current
 
 
@@ -286,11 +469,10 @@ canonicalize_stats = {"hits": 0, "misses": 0}
 
 
 def _memo_key(expr: Expr) -> tuple:
-    values = tuple(node.value for node in expr.walk() if isinstance(node, Param))
-    return (expr, values)
+    return (expr, expr.param_values())
 
 
-def canonicalize(expr: Expr) -> Expr:
+def canonicalize(expr: Expr, first_pass: FirstPassMemo | None = None) -> Expr:
     """Simplify with memoization; canonical form == simplified form."""
     key = _memo_key(expr)
     cached = _CANON_CACHE.get(key)
@@ -298,7 +480,7 @@ def canonicalize(expr: Expr) -> Expr:
         canonicalize_stats["hits"] += 1
         return cached
     canonicalize_stats["misses"] += 1
-    result = simplify(expr)
+    result = simplify(expr, first_pass)
     if len(_CANON_CACHE) >= _CANON_CACHE_LIMIT:
         _CANON_CACHE.clear()
     _CANON_CACHE[key] = result
@@ -309,7 +491,9 @@ def canonicalize(expr: Expr) -> Expr:
 
 
 def clear_canonicalize_cache() -> None:
+    """Drop the canonicalize memo and the dtype repr cache (a cold start)."""
     _CANON_CACHE.clear()
+    clear_dtype_reprs()
     canonicalize_stats["hits"] = canonicalize_stats["misses"] = 0
 
 

@@ -15,7 +15,7 @@ need two things the raw node classes do not provide directly:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .expr import Expr
 

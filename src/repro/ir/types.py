@@ -23,7 +23,7 @@ class TypeKind(Enum):
     FLOAT = "float"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class DType:
     """A scalar type: kind plus width in bits.
 
@@ -34,6 +34,15 @@ class DType:
 
     kind: TypeKind
     bits: int
+
+    def __repr__(self) -> str:
+        # The dataclass repr, built once per type: canonicalization orders
+        # operands by the text of their structural keys, which embed dtypes.
+        text = _REPRS.get(self)
+        if text is None:
+            text = _REPRS[self] = \
+                f"{type(self).__qualname__}(kind={self.kind!r}, bits={self.bits!r})"
+        return text
 
     @property
     def bytes(self) -> int:
@@ -107,6 +116,15 @@ class DType:
             return "float" if self.bits == 32 else "double"
         prefix = "uint" if self.kind is TypeKind.UINT else "int"
         return f"{prefix}{self.bits}_t"
+
+
+#: ``repr`` text per dtype (see ``DType.__repr__``).
+_REPRS: dict[DType, str] = {}
+
+
+def clear_dtype_reprs() -> None:
+    """Drop the cached ``repr`` texts (part of a cold canonicalization start)."""
+    _REPRS.clear()
 
 
 UINT8 = DType(TypeKind.UINT, 8)

@@ -16,7 +16,7 @@ stencil can read one pixel of padding on every side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .common import AsmBuilder, apply_weight, arg_offset, emit_epilogue, emit_prologue
 

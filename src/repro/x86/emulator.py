@@ -17,7 +17,7 @@ from .cpu import CPUState
 from .instructions import Imm, Instruction, Label, Mem, Operand, Reg
 from .memory import Memory, STACK_TOP
 from .module import Program, RETURN_SENTINEL
-from .semantics import HANDLERS, evaluate_condition
+from .semantics import HANDLERS
 
 MASK32 = 0xFFFF_FFFF
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps.registry import get_scenario
 from repro.core.session import LiftSession
+from repro.ir import Expr
 from repro.store import ArtifactStore, dumps_artifact, loads_artifact
 
 
@@ -102,9 +103,11 @@ class TestExprMemoSlots:
     def test_memo_slots_are_not_pickled(self, result):
         expr = result.kernels[0].clusters[0].expr
         hash(expr)  # populate the memo slots
+        expr.node_count()
+        expr.param_values()
         loaded = loads_artifact(dumps_artifact(expr))
-        assert not hasattr(loaded, "_hash")
-        assert not hasattr(loaded, "_key")
+        for slot in Expr.__slots__:
+            assert not hasattr(loaded, slot), slot
         assert loaded == expr
         assert hash(loaded) == hash(expr)
 
