@@ -124,7 +124,7 @@ def test_fig10_tuning_tuned_vs_default_and_warm_start(bench_planes_large,
     warm_pipeline = _two_stage_blur()
     reset_tuner_stats()
     with PipelineServer(warm_pipeline, frame_shape=frame.shape,
-                        store=store) as server:
+                        store=store, engine="compiled") as server:
         assert server.warm_started
         assert tuner_stats["timed_evaluations"] == 0
         assert tuner_stats["warm_start_hits"] == 1

@@ -4,7 +4,9 @@ For every fully-lifted filter the paper compares Photoshop's own execution
 against the lifted, autotuned Halide kernel running standalone.  Here the
 Photoshop side is the legacy runtime model (per-channel, tile-driven,
 unvectorized structure) and the lifted side realizes the actually-lifted
-symbolic kernels through the vectorized NumPy backend.  The expected *shape*:
+symbolic kernels through the default engine (each kernel's loop nest compiled
+to C, one call per plane; the compiled NumPy engine without a toolchain).
+The expected *shape*:
 most filters speed up (the paper averages 1.75x), and box blur — whose
 sliding-window trick the lift cancels — slows down (0.80x in the paper).
 """

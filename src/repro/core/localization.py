@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from ..dynamo.cfg import DynamicCFG
 from ..dynamo.records import BlockProfile, MemoryTraceRecord
 from ..x86.memory import STACK_TOP
-from .regions import AccessSample, MemoryRegion, reconstruct_regions, samples_from_memtrace
+from .regions import MemoryRegion, reconstruct_regions, samples_from_memtrace
 
 #: A region qualifies as "comparable to the data size" when it is at least
 #: this fraction of the estimated input/output size (paper section 3.2).

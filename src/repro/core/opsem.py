@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dynamo.records import TraceRecord
-from ..x86.instructions import Imm, Label, Mem, Reg
-from ..x86.registers import FLAGS_ADDRESS, register_address, register_width
+from ..x86.instructions import Mem, Reg
+from ..x86.registers import register_address, register_width
 
 #: A location is a (pseudo-)address plus a width in bytes.
 Location = tuple[int, int]

@@ -13,7 +13,7 @@ buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..x86.registers import is_register_address
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import time
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..apps.base import Application, app_run_count
 from ..store import ArtifactKey, ArtifactStore, default_store, stage_key
 from .codegen import generate_funcs
 from .stages import (
-    STAGE_RUN_COUNTS,
     STAGE_VERSIONS,
     STAGES,
     run_buffers_stage,

@@ -32,7 +32,6 @@ from __future__ import annotations
 import random
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..apps.base import Application
 from ..dynamo import (

@@ -13,12 +13,14 @@ calls for every :class:`~repro.ir.stmt.Store` and
 nest, not in the engines.
 
 The native backend (:mod:`.native` + :mod:`.cgen`) demonstrates the plug
-point for ahead-of-time codegen: it overrides :meth:`Backend.execute` to
-run whole C-compiled segments (GIL released) and degrades per frame to
-the compiled engine — bit-identically — whenever a toolchain or cffi is
-missing, so it is safe to select unconditionally.
+point for ahead-of-time codegen: its :meth:`Backend.run` executes whole
+C-compiled segments (GIL released) and degrades per frame to the compiled
+engine — bit-identically — whenever a toolchain or cffi is missing, so it
+is safe to select unconditionally.  :func:`backend_for` picks the backend
+for one frame of a nest.
 """
 
+from ..realize import get_default_engine
 from .base import Backend
 from .compiled import CompiledBackend
 from .interp import InterpBackend
@@ -44,5 +46,23 @@ def get_backend(name: str) -> Backend:
     return backend
 
 
+def backend_for(engine: str | None, stmt) -> Backend:
+    """The backend that runs one frame of the loop nest ``stmt``.
+
+    A named engine runs every frame, and so does the default engine, except
+    that a native default runs a nest's first frame on the compiled kernels:
+    the C program (code generation plus, when the artifact store holds no
+    ``.so`` for it, a compiler run of 100-300 ms) is built only once the
+    nest runs again, so a nest realized once — a ``validate``, a request of
+    a new shape — never waits for the compiler.
+    """
+    if engine is None:
+        engine = get_default_engine()
+        if engine == "native" and "seen" not in stmt.cache:
+            stmt.cache["seen"] = True
+            engine = "compiled"
+    return get_backend(engine)
+
+
 __all__ = ["Backend", "CompiledBackend", "InterpBackend", "NativeBackend",
-           "backend_names", "get_backend"]
+           "backend_for", "backend_names", "get_backend"]

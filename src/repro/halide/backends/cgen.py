@@ -1,7 +1,10 @@
 """C code generation for the native backend.
 
-This module turns a :class:`~repro.halide.lower.LoweredPipeline`'s ``Stmt``
-tree into one self-contained C translation unit.  The unit is split into
+This module turns a lowered ``Stmt`` tree — a
+:class:`~repro.halide.lower.LoweredPipeline`'s nest or the
+:func:`~repro.halide.lower.lower_func` nest of a single Func — plus a table
+of the buffers it is bound to into one self-contained C translation unit.
+The unit is split into
 *segments* — maximal parallel-free subtrees compiled to one exported function
 each — so the Python-side executor (:mod:`.native`) can keep fanning parallel
 ``For`` loops out across the shared worker pool while everything underneath
@@ -21,6 +24,10 @@ rule here mirrors ``realize._evaluate`` / ``_apply_binop`` exactly —
   ``/`` is a true divide only when the node dtype is floating;
 * integer division by zero is not UB but return code 1, which the caller
   re-raises as the interpreter's exact ``RealizationError``;
+* a load outside its buffer (where NumPy raises ``IndexError``) is return
+  code 4, never a read past the end: an index built from loop variables,
+  added constants and ``min``/``max`` clamps is checked once per ``Store``
+  or ``ReduceLoop`` at the corners of its loop box, any other per load;
 * min/max on floats propagate NaN like ``np.minimum``/``np.maximum``;
 * narrowing casts wrap modulo 2**bits with a signed fix, like ``_wrap_cast``.
 
@@ -30,17 +37,21 @@ Segment ABI::
                       const int64_t *iparams, const double *fparams);
 
 ``bufs`` holds one data pointer per :attr:`SegmentSpec.buffers` entry,
-``shapes`` their concatenated extents, ``env`` the Python-level loop/let
-bindings the segment references, and ``iparams``/``fparams`` the pipeline
-parameters.  Return codes: 0 ok, 1 integer division by zero, 2 reduction
-scatter index out of bounds, 3 scratch allocation failure.
+``shapes`` their concatenated extents (each buffer is C-contiguous, so its
+strides follow from them), ``env`` the Python-level loop/let bindings the
+segment references, and ``iparams``/``fparams`` the parameter values, one
+slot per distinct ``(name, default)`` pair — two stages reading a
+same-named ``Param`` with different defaults get two slots, so each falls
+back to its own default as in the interpreter.  Return codes: 0 ok, 1
+integer division by zero, 2 reduction scatter index out of bounds, 3
+scratch allocation failure, 4 load index out of bounds.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ...ir import (
     AccumMerge,
@@ -125,15 +136,19 @@ _SANITIZE = re.compile(r"[^0-9A-Za-z_]")
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """Call interface of one emitted segment function."""
+    """Call interface of one emitted segment function.
+
+    ``int_params``/``float_params`` list the ``(name, default)`` pair of each
+    parameter slot in order: a caller's value for ``name`` fills every slot
+    of that name, otherwise a slot takes its own default.
+    """
 
     name: str
     buffers: Tuple[str, ...]
     ranks: Tuple[int, ...]
     env_vars: Tuple[str, ...]
-    int_params: Tuple[str, ...]
-    float_params: Tuple[str, ...]
-    param_defaults: Dict[str, object] = field(default_factory=dict)
+    int_params: Tuple[Tuple[str, object], ...]
+    float_params: Tuple[Tuple[str, object], ...]
 
 
 @dataclass
@@ -190,18 +205,20 @@ class _SegmentEmitter:
         # buffer name -> view; insertion order defines the bufs[] slot order
         self.bufs: Dict[str, _BufView] = {}
         self.buf_order: List[str] = []
-        # env / param slots, first-use ordered
+        # env slots by name, param slots by (name, default); first-use order
         self.env_slots: Dict[str, str] = {}
         self.env_order: List[str] = []
-        self.iparam_slots: Dict[str, str] = {}
-        self.iparam_order: List[str] = []
-        self.fparam_slots: Dict[str, str] = {}
-        self.fparam_order: List[str] = []
-        self.param_defaults: Dict[str, object] = {}
+        self.iparam_slots: Dict[Tuple[str, object], str] = {}
+        self.fparam_slots: Dict[Tuple[str, object], str] = {}
         # Store-local parameters (tile bases); scoped per Store
         self.local_params: Dict[str, str] = {}
-        # restricted Var scope inside Store/ReduceLoop value expressions
+        # restricted Var scope inside Store/ReduceLoop value expressions, and
+        # each of its variables' C bounds (lo, hi) over the loop box
         self.value_scope: Optional[Dict[str, str]] = None
+        self.value_ranges: Dict[str, Tuple[str, str]] = {}
+        # (line index, depth, checks): load bounds checks hoisted in front
+        # of the current loop box
+        self.hoisted: Optional[Tuple[int, int, Dict[str, None]]] = None
 
     # ------------------------------------------------------------------ util
 
@@ -222,6 +239,53 @@ class _SegmentEmitter:
         name = f"t{self._counter}"
         self.emit(f"{ctype} {name} = {expr};")
         return name
+
+    def _open_box(self, ranges: Dict[str, Tuple[str, str]]) -> tuple:
+        """Enter a Store/ReduceLoop loop box: its variables' bounds, and the
+        current line as the place its hoisted bounds checks go."""
+        saved = (self.value_ranges, self.hoisted)
+        self.value_ranges = ranges
+        self.hoisted = (len(self.lines), self.depth, {})
+        return saved
+
+    def _close_box(self, saved: tuple) -> None:
+        mark, depth, checks = self.hoisted
+        self.lines[mark:mark] = ["    " * depth + check for check in checks]
+        self.value_ranges, self.hoisted = saved
+
+    def _index_range(self, expr: Expr) -> Optional[Tuple[str, str]]:
+        """C bounds ``(lo, hi)`` of a load index over the current loop box.
+
+        Covers loop variables, integer constants, Store-local params, their
+        sums, the difference with a constant, and ``min``/``max``: such an
+        index never decreases as any variable grows, so both bounds are
+        attained at the box's corners and checking them is exact.  None
+        for anything else (checked per load instead).
+        """
+        if isinstance(expr, Var):
+            return self.value_ranges.get(expr.name)
+        if isinstance(expr, Const):
+            if type(expr.value) is not int:
+                return None
+            literal = _int_literal(expr.value)
+            return literal, literal
+        if isinstance(expr, Param):
+            local = self.local_params.get(expr.name)
+            return None if local is None else (local, local)
+        if not isinstance(expr, BinOp) or expr.op not in (
+                Op.ADD, Op.SUB, Op.MIN, Op.MAX):
+            return None
+        a, b = self._index_range(expr.a), self._index_range(expr.b)
+        if a is None or b is None:
+            return None
+        if expr.op == Op.ADD:
+            return f"({a[0]} + {b[0]})", f"({a[1]} + {b[1]})"
+        if expr.op == Op.SUB:
+            return (None if b[0] != b[1]
+                    else (f"({a[0]} - {b[0]})", f"({a[1]} - {b[0]})"))
+        cmp = "<" if expr.op == Op.MIN else ">"
+        return tuple(f"(({x}) {cmp} ({y}) ? ({x}) : ({y}))"
+                     for x, y in zip(a, b))
 
     # ---------------------------------------------------------------- slots
 
@@ -261,21 +325,14 @@ class _SegmentEmitter:
         kind = self.param_kinds.get(expr.name)
         if kind is None:
             kind = "float" if isinstance(expr.value, float) else "int"
-        if kind == "float":
-            ident = self.fparam_slots.get(expr.name)
-            if ident is None:
-                ident = f"fp{len(self.fparam_order)}_{_SANITIZE.sub('_', expr.name)}"
-                self.fparam_slots[expr.name] = ident
-                self.fparam_order.append(expr.name)
-            self.param_defaults.setdefault(expr.name, expr.value)
-            return ident, "f64"
-        ident = self.iparam_slots.get(expr.name)
+        slots, prefix = ((self.fparam_slots, "fp") if kind == "float"
+                         else (self.iparam_slots, "ip"))
+        key = (expr.name, expr.value)
+        ident = slots.get(key)
         if ident is None:
-            ident = f"ip{len(self.iparam_order)}_{_SANITIZE.sub('_', expr.name)}"
-            self.iparam_slots[expr.name] = ident
-            self.iparam_order.append(expr.name)
-        self.param_defaults.setdefault(expr.name, expr.value)
-        return ident, "i64"
+            ident = slots[key] = \
+                f"{prefix}{len(slots)}_{_SANITIZE.sub('_', expr.name)}"
+        return ident, "f64" if kind == "float" else "i64"
 
     # ------------------------------------------------------------ expr emit
 
@@ -340,11 +397,20 @@ class _SegmentEmitter:
         # indices are innermost-first: position p addresses numpy axis rank-1-p
         for position, index in enumerate(expr.indices):
             axis = view.rank - 1 - position
+            dim = view.dims[axis]
             val, kind = self._expr(index)
             idx = self._temp("int64_t", self._as_i64(val, kind))
             # branchless numpy-style negative wrap: idx += dim when idx < 0
-            wrapped = self._temp(
-                "int64_t", f"{idx} + (({idx} >> 63) & {view.dims[axis]})")
+            wrapped = self._temp("int64_t", f"{idx} + (({idx} >> 63) & {dim})")
+            # NumPy indexing raises outside [-dim, dim): so does the load.
+            span = None if self.hoisted is None else self._index_range(index)
+            if span is None:
+                self.emit(f"if ((uint64_t){wrapped} >= (uint64_t){dim}) "
+                          "{ return 4; }")
+            else:
+                self.hoisted[2].setdefault(
+                    f"if ({span[0]} < -{dim} || {span[1]} >= {dim}) "
+                    "{ return 4; }")
             terms.append(f"{wrapped} * {view.strides[axis]}")
         flat = self._temp("int64_t", " + ".join(terms) if terms else "0")
         raw = self._temp(view.ctype, f"{view.ptr}[{flat}]")
@@ -633,6 +699,11 @@ class _SegmentEmitter:
             raise CGenError(
                 f"func {func.name!r} has {len(func.variables)} variables, "
                 f"store region rank is {rank}")
+        box = self._open_box({
+            var.name: (orgs[rank - 1 - position],
+                       f"({orgs[rank - 1 - position]} + "
+                       f"{exts[rank - 1 - position]} - 1)")
+            for position, var in enumerate(func.variables)})
         saved_locals = dict(self.local_params)
         for pname, ident in local_values:
             self.local_params[pname] = ident
@@ -694,6 +765,7 @@ class _SegmentEmitter:
         for _ in range(rank - 1):
             self.depth -= 1
             self.emit("}")
+        self._close_box(box)
         self.local_params = saved_locals
         self.depth -= 1
         self.emit("}")
@@ -716,6 +788,9 @@ class _SegmentEmitter:
                         f"reduction over {func.name!r} reads its own accumulator; "
                         "sequential C execution would diverge from np.add.at")
         n = len(stmt.source_extent)
+        rvars = rdom.vars()
+        if len(rvars) != n:
+            raise CGenError("reduction domain rank mismatch")
         self.emit(f"{{ /* reduce {stmt.label or func.name} */")
         self.depth += 1
         orgs = [self._temp("int64_t", self._scalar(v)) for v in stmt.source_origin]
@@ -723,6 +798,11 @@ class _SegmentEmitter:
         guard = " && ".join(f"{e} > 0" for e in exts)
         self.emit(f"if ({guard}) {{")
         self.depth += 1
+        box = self._open_box({
+            var.name: (orgs[n - 1 - position],
+                       f"({orgs[n - 1 - position]} + {exts[n - 1 - position]}"
+                       " - 1)")
+            for position, var in enumerate(rvars)})
         full = self._view(stmt.buffer)
         if stmt.target_index is not None:
             ti = self._temp("int64_t", self._scalar(stmt.target_index))
@@ -735,9 +815,6 @@ class _SegmentEmitter:
                             strides=list(full.strides[1:]), base=base)
         else:
             slab = full
-        rvars = rdom.vars()
-        if len(rvars) != n:
-            raise CGenError("reduction domain rank mismatch")
         if len(index_exprs) != slab.rank:
             raise CGenError(
                 f"reduction writes {len(index_exprs)} indices, target rank "
@@ -793,6 +870,7 @@ class _SegmentEmitter:
         for _ in range(n):
             self.depth -= 1
             self.emit("}")
+        self._close_box(box)
         self.depth -= 1
         self.emit("}")
         self.depth -= 1
@@ -919,18 +997,13 @@ class _SegmentEmitter:
                 preamble.append(f"    const int64_t b{slot}_s{a} = {acc};")
                 acc = f"b{slot}_s{a} * b{slot}_d{a}"
             offset += view.rank
-        for name in self.env_order:
-            ident = self.env_slots[name]
+        for index, name in enumerate(self.env_order):
             preamble.append(
-                f"    const int64_t {ident} = env[{self.env_order.index(name)}];")
-        for name in self.iparam_order:
-            ident = self.iparam_slots[name]
-            preamble.append(
-                f"    const int64_t {ident} = iparams[{self.iparam_order.index(name)}];")
-        for name in self.fparam_order:
-            ident = self.fparam_slots[name]
-            preamble.append(
-                f"    const double {ident} = fparams[{self.fparam_order.index(name)}];")
+                f"    const int64_t {self.env_slots[name]} = env[{index}];")
+        for index, ident in enumerate(self.iparam_slots.values()):
+            preamble.append(f"    const int64_t {ident} = iparams[{index}];")
+        for index, ident in enumerate(self.fparam_slots.values()):
+            preamble.append(f"    const double {ident} = fparams[{index}];")
         header = (f"int64_t {self.name}(void **bufs, const int64_t *shapes, "
                   "const int64_t *env, const int64_t *iparams, "
                   "const double *fparams) {")
@@ -940,9 +1013,8 @@ class _SegmentEmitter:
             buffers=tuple(self.buf_order),
             ranks=tuple(ranks),
             env_vars=tuple(self.env_order),
-            int_params=tuple(self.iparam_order),
-            float_params=tuple(self.fparam_order),
-            param_defaults=dict(self.param_defaults),
+            int_params=tuple(self.iparam_slots),
+            float_params=tuple(self.fparam_slots),
         )
         return text, spec
 
@@ -969,20 +1041,16 @@ static inline double rp_fmax64(double a, double b) {
 
 
 class _NestGenerator:
-    def __init__(self, lowered, frame_dtype: DType,
+    def __init__(self, stmt: Stmt, buffers: Mapping[str, Tuple[DType, int]],
                  param_kinds: Mapping[str, str]):
-        self.lowered = lowered
+        self.stmt = stmt
         self.param_kinds = dict(param_kinds)
         self.functions: List[str] = []
         self.segments: List[SegmentSpec] = []
         self.segment_for: Dict[int, SegmentSpec] = {}
         self.parallel_body: Dict[int, SegmentSpec] = {}
-        frame_rank = len(lowered.frame_shape)
-        self.registry: Dict[str, Tuple[DType, int]] = {
-            lowered.input_name: (frame_dtype, frame_rank),
-            lowered.output: (lowered.out_dtype, frame_rank),
-        }
-        for node in lowered.stmt.walk():
+        self.registry: Dict[str, Tuple[DType, int]] = dict(buffers)
+        for node in stmt.walk():
             if isinstance(node, Allocate):
                 self.registry[node.buffer] = (node.dtype, len(node.extents))
 
@@ -1029,7 +1097,7 @@ class _NestGenerator:
                 f"parallel loop nested inside {type(stmt).__name__}")
 
     def generate(self) -> NestProgram:
-        self._plan(self.lowered.stmt)
+        self._plan(self.stmt)
         source = _PRELUDE + "\n" + "\n\n".join(self.functions) + "\n"
         cdef = "\n".join(
             f"int64_t {seg.name}(void **bufs, const int64_t *shapes, "
@@ -1045,14 +1113,17 @@ class _NestGenerator:
         )
 
 
-def generate_nest(lowered, frame_dtype: DType,
+def generate_nest(stmt: Stmt, buffers: Mapping[str, Tuple[DType, int]],
                   param_kinds: Optional[Mapping[str, str]] = None) -> NestProgram:
-    """Compile a :class:`LoweredPipeline`'s nest to a C translation unit.
+    """Compile a loop nest to a C translation unit.
 
-    ``frame_dtype`` is the input frame's element type; ``param_kinds`` maps
-    parameter names to ``"int"``/``"float"`` (defaults inferred from each
-    ``Param`` node's default value when absent).  Raises :class:`CGenError`
-    when the nest contains anything the emitter cannot translate — callers
-    degrade to the compiled-NumPy backend.
+    ``buffers`` maps the name of every buffer the nest is bound to — for a
+    lowered pipeline its frame and output, for a single Func its inputs and
+    output — to ``(dtype, rank)``; scratch the nest allocates itself comes
+    from its ``Allocate`` nodes.  ``param_kinds`` maps parameter names to
+    ``"int"``/``"float"`` (inferred from each ``Param`` node's default value
+    when absent).  Raises :class:`CGenError` when the nest contains anything
+    the emitter cannot translate — callers degrade to the compiled-NumPy
+    backend.
     """
-    return _NestGenerator(lowered, frame_dtype, param_kinds or {}).generate()
+    return _NestGenerator(stmt, buffers, param_kinds or {}).generate()

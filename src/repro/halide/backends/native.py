@@ -1,32 +1,45 @@
 """The native backend: whole-nest C compilation with GIL-free segments.
 
 Where the compiled engine dispatches one fused-NumPy kernel per ``Store``
-from Python, this backend hands :mod:`.cgen` the *entire* lowered loop nest
-and executes the resulting shared object through cffi in ABI mode.  Each
-parallel-free subtree becomes one C function ("segment"); parallel ``For``
-loops stay in Python so the shared worker pool keeps making the placement
-decision (:func:`repro.halide.parallel.choose_tile_executor`), but every
-segment call releases the GIL for its whole duration, so the fan-out finally
-scales with cores.
+from Python, this backend hands :mod:`.cgen` the *entire* loop nest — a
+lowered pipeline's (:meth:`Backend.execute`) or a single Func's
+(:func:`repro.halide.realize.realize`), both through :meth:`NativeBackend.run`
+— and executes the resulting shared object through cffi in ABI mode.  Each
+parallel-free subtree becomes one C function ("segment"), so a nest without
+parallel loops is one GIL-free call per frame; parallel ``For`` loops stay
+in Python so the shared worker pool keeps making the placement decision
+(:func:`repro.halide.parallel.choose_tile_executor`), but every segment
+call releases the GIL for its whole duration, so the fan-out scales with
+cores.
+
+Segments address every buffer as C-contiguous in native byte order, so a
+frame binds a contiguous copy of any other array the nest reads or writes
+(buffers a caller binds that the nest never touches are left alone);
+buffers the nest writes without anything binding them (the whole-output
+store of an untiled Func) are allocated before the call.
 
 Compilation is cached at three levels:
 
 * an in-process table keyed on the *source digest* (sha256 of the C source
-  plus the toolchain fingerprint) holding open ``(ffi, lib)`` handles;
+  plus the toolchain fingerprint) holding each loaded library weakly: it
+  stays loaded while a memoized program uses it, so the number loaded is
+  bounded by the live nests (``realize`` keeps at most
+  :data:`~repro.halide.realize.MAX_FUNC_NESTS`, each ``FuncPipeline``
+  :attr:`~repro.halide.pipeline.FuncPipeline.MAX_LOWERED_CACHE` per
+  pipeline), not by the shapes a process has seen;
 * the :class:`~repro.store.ArtifactStore` under a new ``native/`` stage,
   keyed on the same digest, holding the ``.so`` bytes — a warm start costs
   zero compiler invocations;
-* a memo on each :class:`~repro.halide.lower.LoweredPipeline` itself, keyed
-  on frame dtype, param kinds and toolchain, so a lowering's repeated
-  frames skip even the source generation: one dict lookup per frame.
+* a memo on the nest's root statement (its ``cache``), keyed on the
+  dtypes and ranks of the buffers the nest touches, the param kinds and the
+  toolchain, so repeated frames skip even the source generation: one dict
+  lookup per frame.
 
 Degradation, not failure: no C compiler on PATH, cffi missing, a construct
 :mod:`.cgen` cannot translate, or a (possibly injected — fault site
 ``native.compile``) compiler failure all fall back to the compiled-NumPy
-backend, bit-identical by construction.  ``native_stats()`` counts every
-path so tests can prove which one ran.  A single Func's nest
-(:func:`repro.halide.realize.realize`) has no C form yet: it runs the
-compiled kernels through the shared executor.
+backend for that frame, bit-identical by construction.  ``native_stats()``
+counts every path so tests can prove which one ran.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import weakref
 from typing import Mapping, Optional
 
 import numpy as np
@@ -46,14 +60,15 @@ try:  # pragma: no cover - exercised via the degraded path when absent
 except ImportError:  # pragma: no cover
     cffi = None
 
-from ...ir import For
+from ...ir import (
+    AccumMerge, Allocate, For, IfThenElse, PadEdge, ReduceLoop, Store,
+    iter_buffer_accesses)
 from ...ir.types import dtype_from_name
 from ...reliability.faults import InjectedFault, fault_point
 from ...store import ArtifactKey, default_store
 from ..parallel import choose_tile_executor, record_execution
 from ..realize import RealizationError
-from .base import (Backend, _ExecState, _scalar, bind_buffers,
-                   run_parallel_loop)
+from .base import Backend, _ExecState, _scalar, run_parallel_loop
 from .cgen import CGenError, NestProgram, SegmentSpec, generate_nest
 
 __all__ = ["NativeBackend", "NativeCompileError", "native_stats",
@@ -68,6 +83,7 @@ _RC_MESSAGES = {
     1: _DIV_ZERO_MESSAGE,
     2: "reduction scatter index out of bounds",
     3: "native scratch allocation failed",
+    4: "buffer read index out of bounds",
 }
 
 
@@ -151,14 +167,14 @@ def _toolchain_fingerprint(cc: str) -> str:
 # -- caches ------------------------------------------------------------------
 
 _COMPILE_LOCK = threading.Lock()
-#: source digest -> (ffi, lib) open handles
-_SO_CACHE: dict = {}
+#: source digest -> :class:`_Library`, held only while a program uses it
+_SO_CACHE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 #: source digests whose real compilation failed (never retried this process)
 _FAILED: set = set()
-#: program-memo sentinel: this lowering permanently degrades
+#: program-memo sentinel: this nest permanently degrades (for that key)
 _DEGRADED = object()
 #: Part of every program-memo key; :func:`reset_native_caches` bumps it, so a
-#: lowering's next frame builds its program again instead of reusing one.
+#: nest's next frame builds its program again instead of reusing one.
 _GENERATION = 0
 _SO_DIR: list = []  # lazily-created scratch dir for store-served .so files
 
@@ -167,9 +183,9 @@ def reset_native_caches() -> None:
     """Drop all in-process caches (tests only; on-disk store is untouched).
 
     Also rotates the scratch directory so previously materialized ``.so``
-    files stop short-circuiting the store lookup, and retires every
-    lowering's memoized programs — warm-start tests need the next frame,
-    even of an existing lowering, to go back to the artifact store.
+    files stop short-circuiting the store lookup, and retires every nest's
+    memoized programs — warm-start tests need the next frame, even of an
+    existing nest, to go back to the artifact store.
     """
     global _GENERATION
     with _COMPILE_LOCK:
@@ -193,16 +209,84 @@ def _store_key(digest: str) -> ArtifactKey:
     return ArtifactKey(stage=NATIVE_STAGE, digest=digest, payload=payload)
 
 
-class _Bundle:
-    """One compiled nest ready to execute."""
+class _Library:
+    """A loaded shared object; cffi unloads it once this is collected."""
 
-    __slots__ = ("program", "ffi", "lib", "digest")
+    __slots__ = ("ffi", "lib", "__weakref__")
 
-    def __init__(self, program: NestProgram, ffi, lib, digest: str) -> None:
-        self.program = program
+    def __init__(self, ffi, lib) -> None:
         self.ffi = ffi
         self.lib = lib
+
+
+class _Bundle:
+    """One compiled nest ready to execute.
+
+    ``outputs`` lists ``(name, shape, numpy dtype)`` for each buffer a
+    whole-buffer ``Store`` writes without anything binding it; a frame
+    allocates it before the C call.
+    """
+
+    __slots__ = ("program", "library", "digest", "outputs")
+
+    def __init__(self, program: NestProgram, library: _Library, digest: str,
+                 outputs: tuple) -> None:
+        self.program = program
+        self.library = library
         self.digest = digest
+        self.outputs = outputs
+
+
+def _nest_buffers(stmt) -> tuple:
+    """Sorted names of the buffers the nest ``stmt`` loads or stores,
+    memoized on its root: what a frame binds, keys and copies, whatever
+    else the caller passed."""
+    names = stmt.cache.get("buffers")
+    if names is not None:
+        return names
+    found = set()
+    for node in stmt.walk():
+        exprs = []
+        if isinstance(node, AccumMerge):
+            found.update((node.target, node.source))
+        elif isinstance(node, (Store, ReduceLoop, PadEdge)):
+            found.add(node.buffer)
+        if isinstance(node, IfThenElse):
+            exprs.append(node.condition)
+        elif isinstance(node, Store):
+            exprs.append(node.func.value)
+        elif isinstance(node, ReduceLoop) and node.func.reduction:
+            _, index_exprs, update = node.func.reduction
+            exprs.extend(index_exprs)
+            exprs.append(update)
+        for expr in exprs:
+            found.update(access.buffer
+                         for access in iter_buffer_accesses(expr))
+    names = stmt.cache["buffers"] = tuple(sorted(found))
+    return names
+
+
+def _materialized_outputs(stmt, bound) -> tuple:
+    """``(name, shape, dtype)`` of each buffer a ``Store`` in ``stmt`` writes
+    that neither ``bound`` nor the nest's own ``Allocate`` provides.
+
+    The executor's contract (``Backend._exec_store``) lets such a store
+    materialize its buffer whole, so it must cover it from the origin with
+    constant extents; anything else cannot run as C (:class:`CGenError`).
+    """
+    nodes = list(stmt.walk())
+    provided = set(bound) | {node.buffer for node in nodes
+                             if isinstance(node, Allocate)}
+    outputs = {}
+    for node in nodes:
+        if not isinstance(node, Store) or node.buffer in provided \
+                or node.buffer in outputs:
+            continue
+        if not all(type(e) is int for e in node.extent) or any(node.offset):
+            raise CGenError(f"no buffer {node.buffer!r} to store into")
+        outputs[node.buffer] = (node.buffer, tuple(node.extent),
+                                node.func.dtype)
+    return tuple(outputs.values())
 
 
 class _NativeState(_ExecState):
@@ -214,7 +298,7 @@ class _NativeState(_ExecState):
 
 
 class NativeBackend(Backend):
-    """Execute lowered nests as native code; degrade to compiled otherwise."""
+    """Execute loop nests as native code; degrade to compiled otherwise."""
 
     name = "native"
 
@@ -222,71 +306,73 @@ class NativeBackend(Backend):
         from . import get_backend
         return get_backend("compiled")
 
-    def kernels(self, func) -> tuple:
-        # Stores outside a C segment (degraded frames, single-Func nests)
-        # run the compiled engine's kernels.
-        return self._compiled().kernels(func)
-
     # -- compilation ---------------------------------------------------------
 
-    def _program_for(self, lowered, frame: np.ndarray,
+    def _program_for(self, stmt, buffers: Mapping, names: tuple,
                      params: Mapping) -> Optional[_Bundle]:
-        """The compiled bundle for this lowering, or ``None`` to degrade.
+        """The compiled bundle for this nest, or ``None`` to degrade.
 
-        Memoized on the lowering (its ``cache``) per frame dtype, param
-        kinds and toolchain (and :data:`_GENERATION`); the nest's vectorize
-        widths are fixed by the lowering itself.  Permanent degrades (``CGenError``, missing
-        toolchain/cffi, real compile failures) are memoized too; an
-        :class:`InjectedFault` propagates so each frame under chaos degrades
-        independently.
+        Memoized on the nest's root (its ``cache``) per name, dtype and
+        rank of each bound buffer the nest touches (``names``), param kinds
+        and toolchain (and :data:`_GENERATION`); shapes and vectorize
+        widths are fixed by the nest itself.  Permanent degrades
+        (``CGenError``, missing toolchain/cffi, real compile failures) are
+        memoized too; an :class:`InjectedFault` propagates so each frame
+        under chaos degrades independently.
         """
         kinds = tuple(sorted(
-            (name, "float" if isinstance(value, float) else "int")
-            for name, value in params.items()))
-        key = (_GENERATION, frame.dtype.name, kinds, toolchain_path() or "")
-        cached = lowered.cache.get(key)
+            [(name, "float" if isinstance(value, float) else "int")
+             for name, value in params.items()]))
+        bound = tuple([(name, buffers[name].dtype.name, buffers[name].ndim)
+                       for name in names if name in buffers])
+        key = (_GENERATION, bound, kinds, toolchain_path() or "")
+        cached = stmt.cache.get(key)
         if cached is not None:
             return None if cached is _DEGRADED else cached
         try:
-            bundle = self._build(lowered, frame, params)
+            bundle = self._build(stmt, bound, kinds)
         except InjectedFault:
             raise
         except (CGenError, NativeCompileError, RealizationError, OSError):
             bundle = None
-        lowered.cache[key] = _DEGRADED if bundle is None else bundle
+        stmt.cache[key] = _DEGRADED if bundle is None else bundle
         return bundle
 
-    def _build(self, lowered, frame: np.ndarray,
-               params: Mapping) -> Optional[_Bundle]:
+    def _build(self, stmt, bound: tuple, kinds: tuple) -> Optional[_Bundle]:
         if cffi is None:
             return None
         cc = toolchain_path()
         if cc is None:
             _bump("no_toolchain")
             return None
-        frame_dtype = dtype_from_name(frame.dtype.name)
-        param_kinds = {
-            name: ("float" if isinstance(value, float) else "int")
-            for name, value in (params or {}).items()}
-        program = generate_nest(lowered, frame_dtype, param_kinds)
+        try:
+            table = {name: (dtype_from_name(dtype), rank)
+                     for name, dtype, rank in bound}
+        except ValueError as exc:       # a dtype C has no type for (bool...)
+            raise CGenError(str(exc)) from None
+        outputs = _materialized_outputs(stmt, table)
+        for name, shape, dtype in outputs:
+            table[name] = (dtype, len(shape))
+        program = generate_nest(stmt, table, dict(kinds))
+        outputs = tuple((name, shape, dtype.to_numpy())
+                        for name, shape, dtype in outputs)
         fingerprint = _toolchain_fingerprint(cc)
         digest = hashlib.sha256(
             (program.source + "\0" + fingerprint).encode()).hexdigest()
         with _COMPILE_LOCK:
             if digest in _FAILED:
                 return None
-            handles = _SO_CACHE.get(digest)
-            if handles is not None:
+            library = _SO_CACHE.get(digest)
+            if library is not None:
                 _bump("so_cache_hits")
-                return _Bundle(program, handles[0], handles[1], digest)
+                return _Bundle(program, library, digest, outputs)
             so_path = self._materialize_so(cc, program, digest)
             if so_path is None:
                 return None
             ffi = cffi.FFI()
             ffi.cdef(program.cdef)
-            lib = ffi.dlopen(so_path)
-            _SO_CACHE[digest] = (ffi, lib)
-        return _Bundle(program, ffi, lib, digest)
+            library = _SO_CACHE[digest] = _Library(ffi, ffi.dlopen(so_path))
+        return _Bundle(program, library, digest, outputs)
 
     def _materialize_so(self, cc: str, program: NestProgram,
                         digest: str) -> Optional[str]:
@@ -337,33 +423,43 @@ class NativeBackend(Backend):
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, lowered, image: np.ndarray,
-                params: Mapping[str, float] | None = None,
-                stats: Optional[dict] = None) -> np.ndarray:
-        frame = np.ascontiguousarray(np.asarray(image))
+    def run(self, stmt, buffers: dict,
+            params: Mapping[str, float] | None = None,
+            stats: Optional[dict] = None, frame_shape: tuple = ()) -> None:
+        """Execute one frame's nest as C, or degrade that frame to compiled.
+
+        Fires ``kernel.execute`` once, then binds a C-contiguous,
+        native-order copy of any array the nest touches that is not one and
+        allocates the buffers C writes that nothing bound.
+        """
+        fault_point(self.frame_fault_site)
+        params = dict(params or {})
+        names = _nest_buffers(stmt)
         try:
-            bundle = self._program_for(lowered, frame, params or {})
+            bundle = self._program_for(stmt, buffers, names, params)
         except InjectedFault:
             bundle = None
         if bundle is None:
             _bump("degraded")
-            return self._compiled().execute(lowered, frame, params, stats)
-        # C segments write into bound buffers only, so the output is
-        # allocated up front even where a Python store would materialize it.
-        buffers = bind_buffers(lowered, frame, allocate_output=True)
-        state = _NativeState(params=dict(params or {}), stats=stats,
-                             frame_shape=lowered.frame_shape,
-                             bundle=bundle)
-        self._exec(lowered.stmt, {}, buffers, state)
+            self._compiled()._exec(stmt, {}, buffers, _ExecState(
+                params=params, stats=stats, frame_shape=tuple(frame_shape)))
+            return
+        for name in names:
+            array = buffers.get(name)
+            if array is not None and not (array.flags.c_contiguous
+                                          and array.dtype.isnative):
+                buffers[name] = np.ascontiguousarray(
+                    array, dtype=array.dtype.newbyteorder("="))
+        for name, shape, dtype in bundle.outputs:
+            if name not in buffers:
+                buffers[name] = np.empty(shape, dtype=dtype)
+        state = _NativeState(params=params, stats=stats,
+                             frame_shape=tuple(frame_shape), bundle=bundle)
+        self._exec(stmt, {}, buffers, state)
         _bump("native_frames")
-        return buffers[lowered.output]
 
     def _exec(self, stmt, env, buffers, state) -> None:
-        bundle = getattr(state, "bundle", None)
-        if bundle is None:
-            super()._exec(stmt, env, buffers, state)
-            return
-        program = bundle.program
+        program = state.bundle.program
         if isinstance(stmt, For) and stmt.kind == "parallel" \
                 and id(stmt) in program.segment_for:
             self._exec_parallel_for(stmt, env, buffers, state)
@@ -398,8 +494,8 @@ class NativeBackend(Backend):
 
     def _call_segment(self, spec: SegmentSpec, env: Mapping,
                       buffers: Mapping, state) -> None:
-        bundle = state.bundle
-        ffi = bundle.ffi
+        library = state.bundle.library
+        ffi = library.ffi
         keepalive = []
         buf_ptrs = []
         shapes: list = []
@@ -424,17 +520,18 @@ class NativeBackend(Backend):
             if value is None:
                 raise RealizationError(f"unbound loop variable {name}")
             env_vals.append(int(value))
-        iparams = [int(state.params.get(name, spec.param_defaults.get(name, 0)))
-                   for name in spec.int_params]
-        fparams = [float(state.params.get(name, spec.param_defaults.get(name, 0.0)))
-                   for name in spec.float_params]
+        params = state.params
+        iparams = [int(params.get(name, default))
+                   for name, default in spec.int_params]
+        fparams = [float(params.get(name, default))
+                   for name, default in spec.float_params]
         bufs_arg = ffi.new("void *[]", buf_ptrs) if buf_ptrs else ffi.NULL
         shapes_arg = ffi.new("int64_t[]", shapes) if shapes else ffi.NULL
         env_arg = ffi.new("int64_t[]", env_vals) if env_vals else ffi.NULL
         ip_arg = ffi.new("int64_t[]", iparams) if iparams else ffi.NULL
         fp_arg = ffi.new("double[]", fparams) if fparams else ffi.NULL
         # The cffi ABI-mode call releases the GIL for the whole segment.
-        rc = getattr(bundle.lib, spec.name)(
+        rc = getattr(library.lib, spec.name)(
             bufs_arg, shapes_arg, env_arg, ip_arg, fp_arg)
         _bump("segment_calls")
         del keepalive

@@ -29,8 +29,8 @@ property-tested in ``tests/halide/test_costmodel.py``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .func import Func, Schedule
 from .parallel import MIN_PARALLEL_ELEMS, parallel_enabled, pool_size

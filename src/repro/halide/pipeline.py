@@ -23,7 +23,7 @@ import numpy as np
 
 from ..ir import BufferAccess, Cast, Expr, canonicalize, substitute
 from .func import Func, vectorize_width
-from .realize import get_default_engine, realize_interp
+from .realize import realize_interp
 
 
 @dataclass
@@ -265,11 +265,11 @@ class FuncPipeline:
         executor.  For many images, prefer :meth:`realize_batch`, which
         overlaps whole requests across the worker pool.
         """
-        from .backends import get_backend
+        from .backends import backend_for
 
         lowered = self.lower(np.asarray(image).shape)
-        choice = engine if engine is not None else get_default_engine()
-        return get_backend(choice).execute(lowered, image, params, stats)
+        return backend_for(engine, lowered.stmt).execute(lowered, image,
+                                                         params, stats)
 
     def realize_interp(self, image: np.ndarray,
                        params: Mapping[str, float] | None = None) -> np.ndarray:

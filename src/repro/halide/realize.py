@@ -222,11 +222,13 @@ def _apply_binop(op: str, a, b, is_float: bool):
 
 #: Engines: "interp" walks the expression tree with NumPy ops (the oracle);
 #: "compiled" lowers the Func to a fused, CSE'd kernel once and caches it;
-#: "native" compiles a lowered pipeline's whole loop nest to C (single Funcs,
-#: and hosts without a C toolchain, run the compiled kernels).
+#: "native" (the default) compiles the whole loop nest — a single Func's or a
+#: lowered pipeline's — to C, and degrades a frame to "compiled" on hosts
+#: without a C toolchain.  As the default it builds a nest's C only once the
+#: nest runs a second time (see :func:`repro.halide.backends.backend_for`).
 ENGINES = ("interp", "compiled", "native")
 
-DEFAULT_ENGINE = os.environ.get("REPRO_REALIZE_ENGINE", "compiled")
+DEFAULT_ENGINE = os.environ.get("REPRO_REALIZE_ENGINE", "native")
 
 
 def get_default_engine() -> str:
@@ -300,9 +302,12 @@ def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray
     ``shape`` gives the extent of each pure variable (innermost first, matching
     the order of ``func.variables``); ``buffers`` binds input buffer names to
     NumPy arrays indexed outermost-first.  ``engine`` selects the interpreter
-    ("interp"), the cached compiled-kernel backend ("compiled", the default)
-    or the native backend; all are bit-identical.  The process-wide default
-    engine comes from ``REPRO_REALIZE_ENGINE`` (see :func:`set_default_engine`).
+    ("interp"), the cached compiled-kernel backend ("compiled") or the
+    native C backend ("native", the default; one GIL-free C call per frame
+    unless the schedule has parallel loops); all are bit-identical.  The
+    process-wide default engine comes from ``REPRO_REALIZE_ENGINE`` (see
+    :func:`set_default_engine`); a native default runs the first call of
+    each Func and shape on the compiled kernels and C from the second on.
 
     Every engine runs the Func's schedule through the same loop nest
     (:func:`repro.halide.lower.lower_func`, memoized per definition, schedule
@@ -314,9 +319,8 @@ def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray
     """
     if func.value is None and func.reduction is None:
         raise RealizationError(f"function {func.name} has no definition")
-    from .backends import get_backend
+    from .backends import backend_for
 
-    backend = get_backend(engine if engine is not None else DEFAULT_ENGINE)
     out_shape = tuple([int(e) for e in reversed(shape)])
     source_shape = None
     if func.reduction is not None:
@@ -326,11 +330,13 @@ def realize(func: Func, shape: tuple[int, ...], buffers: Mapping[str, np.ndarray
                 f"no binding for reduction source {func.reduction[0].source}")
         source_shape = tuple(source.shape)
     nest = _func_nest(func, out_shape, source_shape)
+    backend = backend_for(engine, nest)
     bound = dict(buffers)
     name = func_output_buffer(func)
     if not isinstance(nest, Store):
         # Tiles and reduction sweeps write into the output; a lone
-        # whole-output Store materializes it itself.
+        # whole-output Store materializes it itself (the native engine
+        # allocates it before its C call).
         allocate = np.empty if func.value is not None else np.zeros
         bound[name] = allocate(out_shape, dtype=func.dtype.to_numpy())
     backend.run(nest, bound, params, frame_shape=source_shape or out_shape)

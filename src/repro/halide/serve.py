@@ -226,19 +226,20 @@ class PipelineServer:
         Consults the persistent tuning database
         (:mod:`repro.halide.tuningdb`) for this target + frame shape; a hit
         replaces the target's schedules with the measured winner at zero
-        timing cost.  Any miss — no record, foreign machine, corrupt blob —
-        leaves the target's current schedules untouched, and a broken store
-        must never break serving.
+        timing cost; records are looked up under the server's engine (a
+        schedule tuned on one engine is wrong for another).  Any miss — no
+        record, foreign machine, corrupt blob — leaves the target's current
+        schedules untouched, and a broken store must never break serving.
         """
         try:
             from .tuningdb import warm_start_func, warm_start_pipeline
 
             if isinstance(self.target, FuncPipeline):
                 record = warm_start_pipeline(self.target, frame_shape,
-                                             store=store)
+                                             store=store, engine=self.engine)
             else:
                 record = warm_start_func(self.target, frame_shape,
-                                         store=store)
+                                         store=store, engine=self.engine)
         except Exception:
             return False
         return record is not None
@@ -246,7 +247,7 @@ class PipelineServer:
     # -- lifecycle -----------------------------------------------------------
 
     def _warm_compile(self, frame_shape: tuple[int, ...] | None) -> None:
-        """Pay codegen up front so the serving path never compiles.
+        """Pay NumPy codegen up front so the serving path never compiles it.
 
         A Func runs one schedule-free kernel whatever its schedule, so
         compiling it here covers every request.  A :class:`FuncPipeline`
@@ -255,7 +256,12 @@ class PipelineServer:
         lowered here — a geometry the nest cannot express raises
         :class:`~repro.halide.lower.PipelineLoweringError` — and the nest's
         kernels compile; without it they compile (once) on the first
-        request.
+        request.  On native these kernels serve frames that degrade, and on
+        a native default each nest's first request too; its C program
+        depends on the bound buffers' dtypes and shapes, so a request
+        builds it (the first on ``engine="native"``, the second on the
+        default; from the artifact store's ``.so`` when warm) and later ones
+        reuse it.
         """
         engine = self.engine if self.engine is not None else get_default_engine()
         if isinstance(self.target, Func):

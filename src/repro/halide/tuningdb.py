@@ -244,22 +244,23 @@ class TuningDatabase:
 # ---------------------------------------------------------------------------
 
 
-def warm_start_pipeline(pipeline, frame_shape, store=None
-                        ) -> Optional[TuningRecord]:
+def warm_start_pipeline(pipeline, frame_shape, store=None,
+                        engine: str | None = None) -> Optional[TuningRecord]:
     """Apply this machine's best known schedules to ``pipeline``, if any.
 
-    Returns the applied record, or None on a miss (no record, foreign
-    machine, corrupt blob, wrong stage count).  Schedules are applied as
-    fresh copies so later mutation of the pipeline never rewrites the
-    record's objects.  Never raises: a broken store must degrade to live
-    tuning, not break serving.
+    ``engine`` picks whose records to consult, as in
+    :meth:`TuningDatabase.lookup`.  Returns the applied record, or None on
+    a miss (no record, foreign machine, corrupt blob, wrong stage count).
+    Schedules are applied as fresh copies so later mutation of the pipeline
+    never rewrites the record's objects.  Never raises: a broken store must
+    degrade to live tuning, not break serving.
     """
     from .autotune import tuner_stats
 
     record = None
     try:
         db = TuningDatabase(store)
-        record = db.lookup(pipeline_workload(pipeline, frame_shape))
+        record = db.lookup(pipeline_workload(pipeline, frame_shape), engine)
     except Exception:
         record = None
     if record is None or not record.valid_for(len(pipeline.stages)):
@@ -271,14 +272,15 @@ def warm_start_pipeline(pipeline, frame_shape, store=None
     return record
 
 
-def warm_start_func(func: Func, np_shape, store=None) -> Optional[TuningRecord]:
+def warm_start_func(func: Func, np_shape, store=None,
+                    engine: str | None = None) -> Optional[TuningRecord]:
     """Single-Func analogue of :func:`warm_start_pipeline`."""
     from .autotune import tuner_stats
 
     record = None
     try:
         db = TuningDatabase(store)
-        record = db.lookup(func_workload(func, np_shape))
+        record = db.lookup(func_workload(func, np_shape), engine)
     except Exception:
         record = None
     if record is None or not record.valid_for(1):

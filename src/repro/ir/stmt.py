@@ -35,10 +35,19 @@ from .expr import Expr
 Scalar = Union[int, Expr]
 
 
+@dataclass
 class Stmt:
-    """Base class for loop-nest statement nodes."""
+    """Base class for loop-nest statement nodes.
 
-    __slots__ = ()
+    Every node carries a ``cache`` dict, the executor's memo: a node's
+    compiled scalar positions and per-backend kernels (so repeated tiles and
+    frames make no kernel-cache lookup), and on a nest's root the native
+    programs built for it.  Lowered trees are immutable, so the memo can
+    never go stale.
+    """
+
+    cache: dict = field(default_factory=dict, repr=False, compare=False,
+                        kw_only=True)
 
     @property
     def children(self) -> tuple["Stmt", ...]:
@@ -129,8 +138,6 @@ class Let(Stmt):
     name: str
     value: Scalar
     body: Stmt
-    #: Executor memo (the value compiled once; see :class:`Store`).
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def children(self) -> tuple[Stmt, ...]:
@@ -207,8 +214,6 @@ class IfThenElse(Stmt):
     condition: Expr
     then_case: Stmt
     else_case: Optional[Stmt] = None
-    #: Executor memo (the condition compiled once; see :class:`Store`).
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def children(self) -> tuple[Stmt, ...]:
@@ -247,10 +252,6 @@ class Store(Stmt):
     eval_origin: tuple[Scalar, ...]
     param_exprs: dict[str, Scalar] = field(default_factory=dict)
     label: str = ""
-    #: Executor memo: per-backend evaluator handles, so repeated tiles and
-    #: frames make no kernel-cache lookup, and the scalar positions compiled
-    #: once (lowered trees are immutable, so the memo can never go stale).
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _lines(self, indent: int) -> list[str]:
         pad = "  " * indent
@@ -287,8 +288,6 @@ class ReduceLoop(Stmt):
     associative: bool = False
     target_index: Optional[Scalar] = None
     label: str = ""
-    #: Per-backend evaluator handles (see :class:`Store`).
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _lines(self, indent: int) -> list[str]:
         pad = "  " * indent
@@ -339,8 +338,6 @@ class PadEdge(Stmt):
     buffer: str
     offset: tuple[Scalar, ...]
     extent: tuple[Scalar, ...]
-    #: Executor memo (the positions compiled once; see :class:`Store`).
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _lines(self, indent: int) -> list[str]:
         pad = "  " * indent

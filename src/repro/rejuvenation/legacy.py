@@ -22,8 +22,6 @@ materialized intermediates) expressed explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..apps.photoshop import FILTER_SPECS as PS_SPECS

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 

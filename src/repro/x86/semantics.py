@@ -8,7 +8,7 @@ through.
 
 from __future__ import annotations
 
-from .instructions import CONDITIONAL_JUMPS, Imm, Instruction, Label, Mem, Reg
+from .instructions import CONDITIONAL_JUMPS, Mem, Reg
 
 MASK32 = 0xFFFF_FFFF
 

@@ -157,6 +157,10 @@ int64_t rp_seg0(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                         int64_t t81 = v_s0_co0;
                                                                                                         int64_t t82 = v_s0_co1;
                                                                                                         if (t79 > 0 && t80 > 0) {
+                                                                                                            if ((t82 + INT64_C(-1)) < -b0_d1 || ((t82 + t80 - 1) + INT64_C(-1)) >= b0_d1) { return 4; }
+                                                                                                            if (t81 < -b0_d0 || (t81 + t79 - 1) >= b0_d0) { return 4; }
+                                                                                                            if ((t82 + INT64_C(1)) < -b0_d1 || ((t82 + t80 - 1) + INT64_C(1)) >= b0_d1) { return 4; }
+                                                                                                            if (t82 < -b0_d1 || (t82 + t80 - 1) >= b0_d1) { return 4; }
                                                                                                             for (int64_t i0 = 0; i0 < t79; ++i0) {
                                                                                                                 int64_t iv = 0;
                                                                                                                 for (; iv + 8 <= t80; iv += 8) {
@@ -254,6 +258,10 @@ int64_t rp_seg0(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                         int64_t t161 = v_s0_co0;
                                                                                                         int64_t t162 = v_s0_co1;
                                                                                                         if (t158 > 0 && t160 > 0) {
+                                                                                                            if (((INT64_C(127)) < (((INT64_C(0)) > ((t162 + INT64_C(-1))) ? (INT64_C(0)) : ((t162 + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t162 + INT64_C(-1))) ? (INT64_C(0)) : ((t162 + INT64_C(-1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t162 + t160 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t162 + t160 - 1) + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t162 + t160 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t162 + t160 - 1) + INT64_C(-1)))))) >= b0_d1) { return 4; }
+                                                                                                            if (((INT64_C(95)) < (((INT64_C(0)) > (t161) ? (INT64_C(0)) : (t161))) ? (INT64_C(95)) : (((INT64_C(0)) > (t161) ? (INT64_C(0)) : (t161)))) < -b0_d0 || ((INT64_C(95)) < (((INT64_C(0)) > ((t161 + t158 - 1)) ? (INT64_C(0)) : ((t161 + t158 - 1)))) ? (INT64_C(95)) : (((INT64_C(0)) > ((t161 + t158 - 1)) ? (INT64_C(0)) : ((t161 + t158 - 1))))) >= b0_d0) { return 4; }
+                                                                                                            if (((INT64_C(127)) < (((INT64_C(0)) > ((t162 + INT64_C(1))) ? (INT64_C(0)) : ((t162 + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t162 + INT64_C(1))) ? (INT64_C(0)) : ((t162 + INT64_C(1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t162 + t160 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t162 + t160 - 1) + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t162 + t160 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t162 + t160 - 1) + INT64_C(1)))))) >= b0_d1) { return 4; }
+                                                                                                            if (((INT64_C(127)) < (((INT64_C(0)) > (t162) ? (INT64_C(0)) : (t162))) ? (INT64_C(127)) : (((INT64_C(0)) > (t162) ? (INT64_C(0)) : (t162)))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > ((t162 + t160 - 1)) ? (INT64_C(0)) : ((t162 + t160 - 1)))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t162 + t160 - 1)) ? (INT64_C(0)) : ((t162 + t160 - 1))))) >= b0_d1) { return 4; }
                                                                                                             for (int64_t i0_163 = 0; i0_163 < t158; ++i0_163) {
                                                                                                                 int64_t iv_164 = 0;
                                                                                                                 for (; iv_164 + 8 <= t160; iv_164 += 8) {
@@ -424,6 +432,10 @@ int64_t rp_seg0(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                         int64_t t319 = (int64_t)((uint64_t)v_s0_p_ihi1 + (uint64_t)INT64_C(1));
                                                                                                         int64_t t320 = t319;
                                                                                                         if (t315 > 0 && t317 > 0) {
+                                                                                                            if (((INT64_C(127)) < (((INT64_C(0)) > ((t320 + INT64_C(-1))) ? (INT64_C(0)) : ((t320 + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t320 + INT64_C(-1))) ? (INT64_C(0)) : ((t320 + INT64_C(-1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t320 + t317 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t320 + t317 - 1) + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t320 + t317 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t320 + t317 - 1) + INT64_C(-1)))))) >= b0_d1) { return 4; }
+                                                                                                            if (((INT64_C(95)) < (((INT64_C(0)) > (t318) ? (INT64_C(0)) : (t318))) ? (INT64_C(95)) : (((INT64_C(0)) > (t318) ? (INT64_C(0)) : (t318)))) < -b0_d0 || ((INT64_C(95)) < (((INT64_C(0)) > ((t318 + t315 - 1)) ? (INT64_C(0)) : ((t318 + t315 - 1)))) ? (INT64_C(95)) : (((INT64_C(0)) > ((t318 + t315 - 1)) ? (INT64_C(0)) : ((t318 + t315 - 1))))) >= b0_d0) { return 4; }
+                                                                                                            if (((INT64_C(127)) < (((INT64_C(0)) > ((t320 + INT64_C(1))) ? (INT64_C(0)) : ((t320 + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t320 + INT64_C(1))) ? (INT64_C(0)) : ((t320 + INT64_C(1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t320 + t317 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t320 + t317 - 1) + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t320 + t317 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t320 + t317 - 1) + INT64_C(1)))))) >= b0_d1) { return 4; }
+                                                                                                            if (((INT64_C(127)) < (((INT64_C(0)) > (t320) ? (INT64_C(0)) : (t320))) ? (INT64_C(127)) : (((INT64_C(0)) > (t320) ? (INT64_C(0)) : (t320)))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > ((t320 + t317 - 1)) ? (INT64_C(0)) : ((t320 + t317 - 1)))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t320 + t317 - 1)) ? (INT64_C(0)) : ((t320 + t317 - 1))))) >= b0_d1) { return 4; }
                                                                                                             for (int64_t i0_321 = 0; i0_321 < t315; ++i0_321) {
                                                                                                                 int64_t iv_322 = 0;
                                                                                                                 for (; iv_322 + 8 <= t317; iv_322 += 8) {
@@ -593,6 +605,10 @@ int64_t rp_seg0(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                         int64_t t476 = v_s0_co0;
                                                                                                         int64_t t477 = v_s0_p_ilo1;
                                                                                                         if (t472 > 0 && t475 > 0) {
+                                                                                                            if ((t477 + INT64_C(-1)) < -b0_d1 || ((t477 + t475 - 1) + INT64_C(-1)) >= b0_d1) { return 4; }
+                                                                                                            if (t476 < -b0_d0 || (t476 + t472 - 1) >= b0_d0) { return 4; }
+                                                                                                            if ((t477 + INT64_C(1)) < -b0_d1 || ((t477 + t475 - 1) + INT64_C(1)) >= b0_d1) { return 4; }
+                                                                                                            if (t477 < -b0_d1 || (t477 + t475 - 1) >= b0_d1) { return 4; }
                                                                                                             for (int64_t i0_478 = 0; i0_478 < t472; ++i0_478) {
                                                                                                                 int64_t iv_479 = 0;
                                                                                                                 for (; iv_479 + 8 <= t475; iv_479 += 8) {
@@ -738,6 +754,10 @@ int64_t rp_seg0(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                     int64_t t575 = INT64_C(0);
                                                                                                     int64_t t576 = INT64_C(0);
                                                                                                     if (t573 > 0 && t574 > 0) {
+                                                                                                        if (t576 < -t64 || (t576 + t574 - 1) >= t64) { return 4; }
+                                                                                                        if ((t575 + INT64_C(1)) < -t63 || ((t575 + t573 - 1) + INT64_C(1)) >= t63) { return 4; }
+                                                                                                        if ((t575 + INT64_C(2)) < -t63 || ((t575 + t573 - 1) + INT64_C(2)) >= t63) { return 4; }
+                                                                                                        if (t575 < -t63 || (t575 + t573 - 1) >= t63) { return 4; }
                                                                                                         for (int64_t i0_577 = 0; i0_577 < t573; ++i0_577) {
                                                                                                             int64_t iv_578 = 0;
                                                                                                             for (; iv_578 + 8 <= t574; iv_578 += 8) {
@@ -985,6 +1005,10 @@ int64_t rp_seg1(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                 int64_t t78 = v_s0_co0;
                                                                                                 int64_t t79 = v_s0_co1;
                                                                                                 if (t76 > 0 && t77 > 0) {
+                                                                                                    if ((t79 + INT64_C(-1)) < -b0_d1 || ((t79 + t77 - 1) + INT64_C(-1)) >= b0_d1) { return 4; }
+                                                                                                    if (t78 < -b0_d0 || (t78 + t76 - 1) >= b0_d0) { return 4; }
+                                                                                                    if ((t79 + INT64_C(1)) < -b0_d1 || ((t79 + t77 - 1) + INT64_C(1)) >= b0_d1) { return 4; }
+                                                                                                    if (t79 < -b0_d1 || (t79 + t77 - 1) >= b0_d1) { return 4; }
                                                                                                     for (int64_t i0 = 0; i0 < t76; ++i0) {
                                                                                                         int64_t iv = 0;
                                                                                                         for (; iv + 8 <= t77; iv += 8) {
@@ -1082,6 +1106,10 @@ int64_t rp_seg1(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                 int64_t t158 = v_s0_co0;
                                                                                                 int64_t t159 = v_s0_co1;
                                                                                                 if (t155 > 0 && t157 > 0) {
+                                                                                                    if (((INT64_C(127)) < (((INT64_C(0)) > ((t159 + INT64_C(-1))) ? (INT64_C(0)) : ((t159 + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t159 + INT64_C(-1))) ? (INT64_C(0)) : ((t159 + INT64_C(-1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t159 + t157 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t159 + t157 - 1) + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t159 + t157 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t159 + t157 - 1) + INT64_C(-1)))))) >= b0_d1) { return 4; }
+                                                                                                    if (((INT64_C(95)) < (((INT64_C(0)) > (t158) ? (INT64_C(0)) : (t158))) ? (INT64_C(95)) : (((INT64_C(0)) > (t158) ? (INT64_C(0)) : (t158)))) < -b0_d0 || ((INT64_C(95)) < (((INT64_C(0)) > ((t158 + t155 - 1)) ? (INT64_C(0)) : ((t158 + t155 - 1)))) ? (INT64_C(95)) : (((INT64_C(0)) > ((t158 + t155 - 1)) ? (INT64_C(0)) : ((t158 + t155 - 1))))) >= b0_d0) { return 4; }
+                                                                                                    if (((INT64_C(127)) < (((INT64_C(0)) > ((t159 + INT64_C(1))) ? (INT64_C(0)) : ((t159 + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t159 + INT64_C(1))) ? (INT64_C(0)) : ((t159 + INT64_C(1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t159 + t157 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t159 + t157 - 1) + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t159 + t157 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t159 + t157 - 1) + INT64_C(1)))))) >= b0_d1) { return 4; }
+                                                                                                    if (((INT64_C(127)) < (((INT64_C(0)) > (t159) ? (INT64_C(0)) : (t159))) ? (INT64_C(127)) : (((INT64_C(0)) > (t159) ? (INT64_C(0)) : (t159)))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > ((t159 + t157 - 1)) ? (INT64_C(0)) : ((t159 + t157 - 1)))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t159 + t157 - 1)) ? (INT64_C(0)) : ((t159 + t157 - 1))))) >= b0_d1) { return 4; }
                                                                                                     for (int64_t i0_160 = 0; i0_160 < t155; ++i0_160) {
                                                                                                         int64_t iv_161 = 0;
                                                                                                         for (; iv_161 + 8 <= t157; iv_161 += 8) {
@@ -1252,6 +1280,10 @@ int64_t rp_seg1(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                 int64_t t316 = (int64_t)((uint64_t)v_s0_p_ihi1 + (uint64_t)INT64_C(1));
                                                                                                 int64_t t317 = t316;
                                                                                                 if (t312 > 0 && t314 > 0) {
+                                                                                                    if (((INT64_C(127)) < (((INT64_C(0)) > ((t317 + INT64_C(-1))) ? (INT64_C(0)) : ((t317 + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t317 + INT64_C(-1))) ? (INT64_C(0)) : ((t317 + INT64_C(-1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t317 + t314 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t317 + t314 - 1) + INT64_C(-1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t317 + t314 - 1) + INT64_C(-1))) ? (INT64_C(0)) : (((t317 + t314 - 1) + INT64_C(-1)))))) >= b0_d1) { return 4; }
+                                                                                                    if (((INT64_C(95)) < (((INT64_C(0)) > (t315) ? (INT64_C(0)) : (t315))) ? (INT64_C(95)) : (((INT64_C(0)) > (t315) ? (INT64_C(0)) : (t315)))) < -b0_d0 || ((INT64_C(95)) < (((INT64_C(0)) > ((t315 + t312 - 1)) ? (INT64_C(0)) : ((t315 + t312 - 1)))) ? (INT64_C(95)) : (((INT64_C(0)) > ((t315 + t312 - 1)) ? (INT64_C(0)) : ((t315 + t312 - 1))))) >= b0_d0) { return 4; }
+                                                                                                    if (((INT64_C(127)) < (((INT64_C(0)) > ((t317 + INT64_C(1))) ? (INT64_C(0)) : ((t317 + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t317 + INT64_C(1))) ? (INT64_C(0)) : ((t317 + INT64_C(1)))))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > (((t317 + t314 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t317 + t314 - 1) + INT64_C(1))))) ? (INT64_C(127)) : (((INT64_C(0)) > (((t317 + t314 - 1) + INT64_C(1))) ? (INT64_C(0)) : (((t317 + t314 - 1) + INT64_C(1)))))) >= b0_d1) { return 4; }
+                                                                                                    if (((INT64_C(127)) < (((INT64_C(0)) > (t317) ? (INT64_C(0)) : (t317))) ? (INT64_C(127)) : (((INT64_C(0)) > (t317) ? (INT64_C(0)) : (t317)))) < -b0_d1 || ((INT64_C(127)) < (((INT64_C(0)) > ((t317 + t314 - 1)) ? (INT64_C(0)) : ((t317 + t314 - 1)))) ? (INT64_C(127)) : (((INT64_C(0)) > ((t317 + t314 - 1)) ? (INT64_C(0)) : ((t317 + t314 - 1))))) >= b0_d1) { return 4; }
                                                                                                     for (int64_t i0_318 = 0; i0_318 < t312; ++i0_318) {
                                                                                                         int64_t iv_319 = 0;
                                                                                                         for (; iv_319 + 8 <= t314; iv_319 += 8) {
@@ -1421,6 +1453,10 @@ int64_t rp_seg1(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                                 int64_t t473 = v_s0_co0;
                                                                                                 int64_t t474 = v_s0_p_ilo1;
                                                                                                 if (t469 > 0 && t472 > 0) {
+                                                                                                    if ((t474 + INT64_C(-1)) < -b0_d1 || ((t474 + t472 - 1) + INT64_C(-1)) >= b0_d1) { return 4; }
+                                                                                                    if (t473 < -b0_d0 || (t473 + t469 - 1) >= b0_d0) { return 4; }
+                                                                                                    if ((t474 + INT64_C(1)) < -b0_d1 || ((t474 + t472 - 1) + INT64_C(1)) >= b0_d1) { return 4; }
+                                                                                                    if (t474 < -b0_d1 || (t474 + t472 - 1) >= b0_d1) { return 4; }
                                                                                                     for (int64_t i0_475 = 0; i0_475 < t469; ++i0_475) {
                                                                                                         int64_t iv_476 = 0;
                                                                                                         for (; iv_476 + 8 <= t472; iv_476 += 8) {
@@ -1566,6 +1602,10 @@ int64_t rp_seg1(void **bufs, const int64_t *shapes, const int64_t *env, const in
                                                                                             int64_t t572 = INT64_C(0);
                                                                                             int64_t t573 = INT64_C(0);
                                                                                             if (t570 > 0 && t571 > 0) {
+                                                                                                if (t573 < -t61 || (t573 + t571 - 1) >= t61) { return 4; }
+                                                                                                if ((t572 + INT64_C(1)) < -t60 || ((t572 + t570 - 1) + INT64_C(1)) >= t60) { return 4; }
+                                                                                                if ((t572 + INT64_C(2)) < -t60 || ((t572 + t570 - 1) + INT64_C(2)) >= t60) { return 4; }
+                                                                                                if (t572 < -t60 || (t572 + t570 - 1) >= t60) { return 4; }
                                                                                                 for (int64_t i0_574 = 0; i0_574 < t570; ++i0_574) {
                                                                                                     int64_t iv_575 = 0;
                                                                                                     for (; iv_575 + 8 <= t571; iv_575 += 8) {

@@ -158,11 +158,11 @@ class TestPipelineDifferential:
     """
 
     STAGE_KINDS = ("pointwise", "coord", "stencil_x", "stencil_y", "cross",
-                   "hist")
+                   "hist", "param")
 
     @staticmethod
-    def _make_stage(kind: str, input_name: str,
-                    hist_pad: int = 1) -> tuple[Func, int]:
+    def _make_stage(kind: str, input_name: str, hist_pad: int = 1,
+                    index: int = 0) -> tuple[Func, int]:
         x, y = _vars()
 
         def acc(dx, dy):
@@ -185,6 +185,14 @@ class TestPipelineDifferential:
             return func, hist_pad
         if kind == "pointwise":
             expr, pad = BinOp(Op.XOR, Const(255, UINT32), acc(0, 0), UINT32), 0
+        elif kind == "param":
+            # Every "param" stage reads the same two Param names with
+            # defaults of its own, as lifted stages reading one coefficient
+            # table do; each must fall back to its own default.
+            scale = Param("param_scale", 0.25 * (index + 1), FLOAT64)
+            bias = Param("param_bias", 3 + 2 * index, INT32)
+            scaled = Cast(UINT32, BinOp(Op.MUL, acc(1, 0), scale, FLOAT64))
+            expr, pad = BinOp(Op.ADD, scaled, Cast(UINT32, bias), UINT32), 1
         elif kind == "coord":
             # Uses the loop variables directly (outside any tap): exercises
             # the tile-base Param correction of local-coordinate stores.
@@ -215,7 +223,7 @@ class TestPipelineDifferential:
         funcs = []
         for index, kind in enumerate(kinds):
             input_name = "input_1" if index == 0 else f"buf_{index}"
-            func, pad = cls._make_stage(kind, input_name, hist_pad)
+            func, pad = cls._make_stage(kind, input_name, hist_pad, index)
             pipeline.add(func, input_name=input_name, pad=pad,
                          name=f"s{index}")
             funcs.append(func)
@@ -253,6 +261,22 @@ class TestPipelineDifferential:
         for engine in engines:
             np.testing.assert_array_equal(
                 scheduled.realize(image, engine=engine), oracle,
+                err_msg=f"engine={engine}")
+
+    @pytest.mark.parametrize("levels", [None, ("root", "at", "root"),
+                                        ("at", "root", "default")])
+    @pytest.mark.parametrize("params", [None, {"param_bias": 9},
+                                        {"param_scale": 1.5}])
+    def test_stages_sharing_param_names_keep_their_defaults(self, levels,
+                                                             params):
+        image = np.random.default_rng(17).integers(
+            0, 256, size=(HEIGHT, WIDTH), dtype=np.uint8)
+        kinds = ("param", "stencil_x", "param")
+        oracle = self._build(kinds).realize_interp(image, params)
+        scheduled = self._build(kinds, levels=levels)
+        for engine in ENGINES:
+            np.testing.assert_array_equal(
+                scheduled.realize(image, params, engine=engine), oracle,
                 err_msg=f"engine={engine}")
 
     def test_compute_at_chain_with_coordinate_consumer(self):
@@ -304,6 +328,31 @@ class TestLiftedKernelsDifferential:
         interp = apply_lifted_irfanview(result, filter_name, image,
                                         engine="interp")
         np.testing.assert_array_equal(compiled, interp)
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_irfanview_fig8_chain_every_engine(self, fused):
+        """The fig 8 IrfanView chain: sharpen and blur read same-named
+        coefficient Params with different defaults."""
+        from repro.apps.images import make_test_planes
+        from repro.rejuvenation import lift_irfanview_filter
+        from repro.rejuvenation.lifted import IV_PADDED_FILTERS
+
+        pipeline = FuncPipeline()
+        for name in ("sharpen", "solarize", "blur"):
+            lifted = lift_irfanview_filter(name)
+            kernel = lifted.kernels[0]
+            pad = 1 if name in IV_PADDED_FILTERS else 0
+            pipeline.add(lifted.funcs[kernel.output],
+                         input_name=kernel.input_names[0], pad=pad,
+                         pad_width=((pad, pad), (pad, pad), (0, 0)),
+                         name=name)
+        planes = make_test_planes(24, 16, seed=12)
+        image = np.stack([planes["r"], planes["g"], planes["b"]], axis=-1)
+        oracle = pipeline.realize_interp(image)
+        chain = pipeline.fused() if fused else pipeline
+        for engine in ENGINES:
+            np.testing.assert_array_equal(chain.realize(image, engine=engine),
+                                          oracle, err_msg=f"engine={engine}")
 
     def test_minigmg_smooth(self):
         from repro.rejuvenation import apply_lifted_minigmg, lift_minigmg_smooth

@@ -550,7 +550,8 @@ class TestBackendInterface:
         func = _stencil("f", "input_1", [(0, 0), (2, 2)])
         origin, extent = (5, 7), (11, 13)
         blocks = {}
-        for name in backend_names():
+        # The NumPy engines' region primitive (native runs whole nests as C).
+        for name in ("interp", "compiled"):
             evaluate, _reduce = get_backend(name).kernels(func)
             blocks[name] = evaluate(
                 origin, extent, {"input_1": np.pad(image, 2, "edge")}, {}, None)

@@ -3,8 +3,14 @@
 Three layers of evidence:
 
 * **registry sweep** — every registered (app, filter) scenario realizes
-  bit-identically through the native engine and the interpreter (runs on
-  compilerless hosts too: degradation must also be bit-identical);
+  through ``apply_lifted_*`` on the native engine bit-identically to
+  ``realize_interp``, as one C program per frame (runs on compilerless hosts
+  too: degradation must also be bit-identical);
+* **single-Func nests** — ``realize()`` compiles a Func's own loop nest:
+  parallel reduction strips, non-contiguous inputs, buffers the nest never
+  touches, the default engine's first frame on the compiled kernels and its
+  no-toolchain degrade, warm frames that generate no C, and a bound on the
+  libraries loaded across shapes;
 * **scheduled nests** — deterministic and hypothesis-random pipelines ×
   schedules execute the emitted C (`skipif` no toolchain) and must match
   the oracle bit-for-bit, including uint16 wraparound across reduction
@@ -17,6 +23,8 @@ A golden file pins the emitted C for the blur2 compute_at nest alongside
 the existing Halide-C++ goldens in ``tests/golden/``.
 """
 
+import gc
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +32,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import scenarios
-from repro.halide import Func, FuncPipeline, RDom, Schedule, Var, configure_pool
+from repro.halide import (Func, FuncPipeline, RDom, Schedule, Var,
+                          configure_pool, realize, realize_interp)
+from repro.halide import parallel as parallel_mod
 from repro.halide.backends import get_backend
 from repro.halide.backends import native as native_mod
 from repro.halide.backends.cgen import generate_nest
 from repro.halide.backends.native import (native_stats, reset_native_caches,
                                           toolchain_path)
 from repro.ir import (
-    BinOp, BufferAccess, Cast, Const, Op, UINT8, UINT16, UINT32,
+    BinOp, BufferAccess, Cast, Const, INT32, Op, Param, UINT8, UINT16, UINT32,
     Var as IRVar,
 )
+
+#: The ``repro.halide.realize`` module (the package attribute of that name
+#: is the function).
+realize_mod = importlib.import_module("repro.halide.realize")
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -72,6 +86,14 @@ def _blur2_pipeline():
     return pipeline
 
 
+def _pipeline_source(lowered):
+    """The C a uint8-frame pipeline's nest compiles to."""
+    rank = len(lowered.frame_shape)
+    return generate_nest(lowered.stmt, {
+        lowered.input_name: (UINT8, rank),
+        lowered.output: (lowered.out_dtype, rank)}).source
+
+
 def _frame(seed=3, shape=(HEIGHT, WIDTH)):
     return np.random.default_rng(seed).integers(
         0, 256, size=shape, dtype=np.uint8)
@@ -82,6 +104,35 @@ def _frame(seed=3, shape=(HEIGHT, WIDTH)):
 # ---------------------------------------------------------------------------
 
 
+def _apply_scenario(app_name, filter_name, engine):
+    """One registry scenario through its ``apply_lifted_*`` helper, as a
+    list of output arrays."""
+    from repro.apps.images import make_test_planes
+    from repro.rejuvenation import (
+        apply_lifted_irfanview, apply_lifted_minigmg, apply_lifted_photoshop,
+        lift_irfanview_filter, lift_minigmg_smooth, lift_photoshop_filter)
+
+    if app_name == "photoshop":
+        result = lift_photoshop_filter(filter_name)
+        planes = make_test_planes(48, 32, seed=9)
+        params = {"threshold": 128, "brightness": 40}
+        outputs = apply_lifted_photoshop(result, filter_name, planes, params,
+                                         engine=engine)
+        return [outputs[channel] for channel in sorted(outputs)]
+    if app_name == "irfanview":
+        result = lift_irfanview_filter(filter_name)
+        planes = make_test_planes(40, 28, seed=10)
+        image = np.stack([planes["r"], planes["g"], planes["b"]], axis=-1)
+        return [apply_lifted_irfanview(result, filter_name, image,
+                                       engine=engine)]
+    if app_name == "minigmg":
+        result = lift_minigmg_smooth()
+        grid = np.random.default_rng(3).random((6, 7, 8))
+        return [apply_lifted_minigmg(result, grid, iterations=2,
+                                     engine=engine)]
+    pytest.fail(f"no native differential case for {app_name!r}")
+
+
 class TestRegistryScenarios:
     """Acceptance: all registry scenarios bit-identical native vs interp."""
 
@@ -89,44 +140,27 @@ class TestRegistryScenarios:
         "app_name,filter_name",
         [(s.app_name, s.filter_name) for s in scenarios()],
         ids=[f"{s.app_name}-{s.filter_name}" for s in scenarios()])
-    def test_scenario_native_matches_interp(self, app_name, filter_name):
-        from repro.apps.images import make_test_planes
-        from repro.rejuvenation import (
-            apply_lifted_irfanview, apply_lifted_minigmg,
-            apply_lifted_photoshop, lift_irfanview_filter,
-            lift_minigmg_smooth, lift_photoshop_filter)
+    def test_scenario_native_matches_interp(self, app_name, filter_name,
+                                            monkeypatch):
+        from repro.rejuvenation import lifted as lifted_mod
 
-        if app_name == "photoshop":
-            result = lift_photoshop_filter(filter_name)
-            planes = make_test_planes(48, 32, seed=9)
-            params = {"threshold": 128, "brightness": 40}
-            native = apply_lifted_photoshop(result, filter_name, planes,
-                                            params, engine="native")
-            interp = apply_lifted_photoshop(result, filter_name, planes,
-                                            params, engine="interp")
-            for channel in interp:
-                np.testing.assert_array_equal(native[channel],
-                                              interp[channel])
-        elif app_name == "irfanview":
-            result = lift_irfanview_filter(filter_name)
-            planes = make_test_planes(40, 28, seed=10)
-            image = np.stack([planes["r"], planes["g"], planes["b"]],
-                             axis=-1)
-            np.testing.assert_array_equal(
-                apply_lifted_irfanview(result, filter_name, image,
-                                       engine="native"),
-                apply_lifted_irfanview(result, filter_name, image,
-                                       engine="interp"))
-        elif app_name == "minigmg":
-            result = lift_minigmg_smooth()
-            grid = np.random.default_rng(3).random((6, 7, 8))
-            np.testing.assert_array_equal(
-                apply_lifted_minigmg(result, grid, iterations=2,
-                                     engine="native"),
-                apply_lifted_minigmg(result, grid, iterations=2,
-                                     engine="interp"))
-        else:  # pragma: no cover - new app family needs a case here
-            pytest.fail(f"no native differential driver for {app_name!r}")
+        before = native_stats()
+        native = _apply_scenario(app_name, filter_name, "native")
+        after = native_stats()
+        if HAVE_NATIVE:
+            # Every realize() is one C program, not the degrade path.
+            assert after["native_frames"] > before["native_frames"]
+            assert after["degraded"] == before["degraded"]
+        # The oracle: the same helper with realize() swapped for the
+        # schedule-free realize_interp.
+        monkeypatch.setattr(
+            lifted_mod, "realize",
+            lambda func, shape, buffers, params=None, engine=None:
+            realize_interp(func, shape, buffers, params))
+        oracle = _apply_scenario(app_name, filter_name, None)
+        assert len(native) == len(oracle)
+        for out, expected in zip(native, oracle):
+            np.testing.assert_array_equal(out, expected)
 
     @needs_cc
     def test_lifted_blur_pipeline_runs_real_c(self):
@@ -344,9 +378,7 @@ class TestScheduledNests:
         for vec in (False, True, 4, 16):
             pipeline = self._build(("stencil_x",), levels=(), vec=vec)
             outputs.append(pipeline.realize(image, engine="native"))
-            lowered = pipeline.lower(image.shape)
-            from repro.ir import UINT8 as U8
-            sources[vec] = generate_nest(lowered, U8, {}).source
+            sources[vec] = _pipeline_source(pipeline.lower(image.shape))
         oracle = self._build(("stencil_x",)).realize_interp(image)
         for out in outputs:
             np.testing.assert_array_equal(out, oracle)
@@ -355,6 +387,282 @@ class TestScheduledNests:
         assert sources[False] != sources[4]
         assert "#pragma GCC ivdep" in sources[4]
         assert "#pragma GCC ivdep" not in sources[False]
+
+
+# ---------------------------------------------------------------------------
+# Single-Func nests: realize() through the emitted C
+# ---------------------------------------------------------------------------
+
+
+def _histogram(strip_rows=8):
+    """A 256-bin histogram whose reduction sweeps in parallel strips."""
+    x = Var("x_0")
+    hist = Func("hist", [x], dtype=UINT32).define(Const(0, UINT32))
+    rdom = RDom("r_0", source="input_1", dimensions=2)
+    index = BufferAccess("input_1", [IRVar("r_0"), IRVar("r_1")], UINT8)
+    hist.update(rdom, [index], BinOp(
+        Op.ADD, BufferAccess("hist", [index], UINT32), Const(1, UINT32)))
+    hist.schedule = Schedule(tile_x=8, tile_y=strip_rows, parallel=True)
+    return hist
+
+
+class TestSingleFuncNests:
+    @needs_cc
+    def test_parallel_histogram_strips_run_as_c(self, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "MIN_PARALLEL_ELEMS", 1)
+        configure_pool(3)
+        try:
+            image = _frame(41, shape=(64, 40))
+            oracle = realize_interp(_histogram(), (256,),
+                                    {"input_1": image})
+            before = native_stats()
+            out = realize(_histogram(), (256,), {"input_1": image},
+                          engine="native")
+            after = native_stats()
+        finally:
+            configure_pool()
+        np.testing.assert_array_equal(out, oracle)
+        assert after["native_frames"] == before["native_frames"] + 1
+        assert after["degraded"] == before["degraded"]
+        # 8 strips fanned out (one C call each) plus the merge segment.
+        assert after["segment_calls"] - before["segment_calls"] > 2
+
+    @pytest.mark.parametrize("view", ["strided", "transposed", "fortran"])
+    def test_non_contiguous_input_matches_interp(self, view):
+        func = _stencil("blur", "input_1", [(0, 1), (1, 1), (2, 1), (1, 2)])
+        base = _frame(43, shape=(2 * (HEIGHT + 2), 2 * (WIDTH + 2)))
+        frame = {"strided": base[::2, 1::2],
+                 "transposed": base[:WIDTH + 2, :HEIGHT + 2].T,
+                 "fortran": np.asfortranarray(base[:HEIGHT + 2, :WIDTH + 2])
+                 }[view]
+        assert not frame.flags.c_contiguous
+        snapshot = frame.copy()
+        before = native_stats()
+        out = realize(func, (WIDTH, HEIGHT), {"input_1": frame},
+                      engine="native")
+        after = native_stats()
+        np.testing.assert_array_equal(
+            out, realize_interp(func, (WIDTH, HEIGHT), {"input_1": frame}))
+        np.testing.assert_array_equal(frame, snapshot)
+        if HAVE_NATIVE:
+            assert after["native_frames"] == before["native_frames"] + 1
+
+    def test_unused_buffers_are_not_keyed_or_copied(self, monkeypatch):
+        """A buffer the nest never touches — a bool mask C has no type for,
+        a strided array — neither degrades the frame nor enters the
+        program key."""
+        func = _stencil("blur", "input_1", [(0, 1), (1, 1), (2, 1)])
+        frame = _frame(46, shape=(HEIGHT + 2, WIDTH + 2))
+        oracle = realize_interp(func, (WIDTH, HEIGHT), {"input_1": frame})
+        extras = [{"mask": np.zeros((4, 4), dtype=bool)},
+                  {"mask": np.ones((3,), dtype=np.float32),
+                   "strided": _frame(47, shape=(8, 8))[::2, ::3]}]
+        before = native_stats()
+        out = realize(func, (WIDTH, HEIGHT), {"input_1": frame, **extras[0]},
+                      engine="native")
+        np.testing.assert_array_equal(out, oracle)
+        if HAVE_NATIVE:
+            assert native_stats()["native_frames"] == \
+                before["native_frames"] + 1
+
+        def generate(*_args, **_kwargs):
+            raise AssertionError("an unused buffer changed the program key")
+
+        monkeypatch.setattr(native_mod, "generate_nest", generate)
+        strided = extras[1]["strided"]
+        out = realize(func, (WIDTH, HEIGHT), {"input_1": frame, **extras[1]},
+                      engine="native")
+        after = native_stats()
+        np.testing.assert_array_equal(out, oracle)
+        assert not strided.flags.c_contiguous
+        if HAVE_NATIVE:
+            assert after["native_frames"] == before["native_frames"] + 2
+            assert after["degraded"] == before["degraded"]
+
+    @needs_cc
+    def test_default_engine_builds_c_from_a_nests_second_frame(
+            self, tmp_path, monkeypatch):
+        """A nest realized once on the default engine never invokes the
+        compiler; its second frame builds the C program, and a new shape
+        starts over — for a single Func and for a pipeline."""
+        from repro.store import STORE_DIR_ENV
+
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(realize_mod, "DEFAULT_ENGINE", "native")
+        reset_native_caches()
+        func = _stencil("blur", "input_1", [(0, 1), (1, 1), (2, 1)])
+        pipeline = _blur2_pipeline()
+
+        def run(frame):
+            height, width = frame.shape
+            return [realize(func, (width - 2, height - 2),
+                            {"input_1": frame}), pipeline.realize(frame)]
+
+        def oracle(frame):
+            height, width = frame.shape
+            return [realize_interp(func, (width - 2, height - 2),
+                                   {"input_1": frame}),
+                    _blur2_pipeline().realize_interp(frame)]
+
+        for shape in ((HEIGHT + 2, WIDTH + 2), (HEIGHT, WIDTH)):
+            for repeat, native_frames in ((0, 0), (1, 2)):
+                frame = _frame(48 + repeat, shape=shape)
+                before = native_stats()
+                outputs = run(frame)
+                after = native_stats()
+                for out, expected in zip(outputs, oracle(frame)):
+                    np.testing.assert_array_equal(out, expected)
+                assert after["native_frames"] == \
+                    before["native_frames"] + native_frames
+                assert after["compiles"] == before["compiles"] + native_frames
+                assert after["degraded"] == before["degraded"]
+
+    def test_default_engine_degrades_without_a_toolchain(self, monkeypatch):
+        """The nest's first frame runs on the compiled kernels; every later
+        frame tries native, degrades and is counted."""
+        monkeypatch.setattr(realize_mod, "DEFAULT_ENGINE", "native")
+        monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")
+        reset_native_caches()
+        func = _stencil("blur", "input_1", [(0, 0), (1, 1), (2, 2)])
+        frames = [_frame(seed, shape=(HEIGHT + 2, WIDTH + 2))
+                  for seed in (44, 45, 46)]
+        try:
+            before = native_stats()
+            outputs = [realize(func, (WIDTH, HEIGHT), {"input_1": frame})
+                       for frame in frames]
+            after = native_stats()
+        finally:
+            monkeypatch.delenv("REPRO_NATIVE_CC")
+            reset_native_caches()
+        assert after["degraded"] == before["degraded"] + len(frames) - 1
+        assert after["native_frames"] == before["native_frames"]
+        for out, frame in zip(outputs, frames):
+            np.testing.assert_array_equal(out, realize_interp(
+                func, (WIDTH, HEIGHT), {"input_1": frame}))
+
+    @needs_cc
+    def test_warm_realize_generates_no_c(self, tmp_path, monkeypatch):
+        from repro.store import STORE_DIR_ENV
+
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        reset_native_caches()
+        func = _stencil("blur", "input_1", [(0, 1), (1, 1), (2, 1)])
+        frame = _frame(47, shape=(HEIGHT + 2, WIDTH + 2))
+        oracle = realize_interp(func, (WIDTH, HEIGHT), {"input_1": frame})
+        realize(func, (WIDTH, HEIGHT), {"input_1": frame}, engine="native")
+
+        def generate(*_args, **_kwargs):
+            raise AssertionError("a warm frame generated C")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(native_mod, "generate_nest", generate)
+            before = native_stats()
+            out = realize(func, (WIDTH, HEIGHT), {"input_1": frame},
+                          engine="native")
+            after = native_stats()
+        np.testing.assert_array_equal(out, oracle)
+        assert after["native_frames"] == before["native_frames"] + 1
+        assert after["degraded"] == before["degraded"]
+
+    @needs_cc
+    def test_loaded_libraries_stay_bounded_across_shapes(self, monkeypatch):
+        """One Func realized at many shapes compiles one program per shape,
+        but a library stays loaded only while a memoized nest uses it."""
+        monkeypatch.setattr(realize_mod, "MAX_FUNC_NESTS", 2)
+        reset_native_caches()
+        func = _stencil("blur", "input_1", [(0, 1), (1, 1), (2, 1)])
+        for width in range(6, 12):
+            frame = _frame(width, shape=(7, width + 2))
+            np.testing.assert_array_equal(
+                realize(func, (width, 5), {"input_1": frame},
+                        engine="native"),
+                realize_interp(func, (width, 5), {"input_1": frame}))
+        gc.collect()
+        assert len(native_mod._SO_CACHE) <= 2
+        maps = Path("/proc/self/maps")
+        if maps.exists():
+            scratch = native_mod._so_scratch_dir()
+            mapped = {line.split()[-1] for line in
+                      maps.read_text().splitlines() if scratch in line}
+            assert 1 <= len(mapped) <= 2, mapped
+
+    @needs_cc
+    @pytest.mark.parametrize("tap", ["shift", "lookup"])
+    def test_read_outside_a_buffer_raises(self, tap):
+        """Where NumPy raises IndexError the C load does not read past the
+        buffer: a shifted tap fails its hoisted per-store check, a table
+        lookup its per-load check."""
+        from repro.halide.realize import RealizationError
+
+        x, y = _vars()
+        inp = BufferAccess("input_1", [BinOp(Op.ADD, x, Const(2)), y], UINT8)
+        buffers = {"input_1": _frame(51)}
+        if tap == "lookup":
+            inp = BufferAccess("lut", [Cast(UINT32, BufferAccess(
+                "input_1", [x, y], UINT8))], UINT8)
+            buffers["lut"] = np.arange(200, dtype=np.uint8)
+        func = Func("f", [x, y], dtype=UINT8).define(Cast(UINT8, inp))
+        with pytest.raises(IndexError):
+            realize_interp(func, (WIDTH, HEIGHT), buffers)
+        with pytest.raises(RealizationError, match="out of bounds"):
+            realize(func, (WIDTH, HEIGHT), buffers, engine="native")
+
+    @needs_cc
+    @settings(max_examples=40, deadline=None)
+    @given(taps=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                         min_size=1, max_size=3),
+           clamp=st.booleans(), width=st.integers(1, 9),
+           height=st.integers(1, 9), out_w=st.integers(1, 9),
+           out_h=st.integers(1, 9))
+    def test_load_checks_agree_with_numpy_indexing(self, taps, clamp, width,
+                                                   height, out_w, out_h):
+        """Shifted (and clamped) taps, negative ones included, raise on
+        native exactly where NumPy indexing raises, and match otherwise."""
+        from repro.halide.realize import RealizationError
+
+        x, y = _vars()
+        expr = None
+        for dx, dy in taps:
+            ix = BinOp(Op.ADD, x, Const(dx))
+            if clamp:
+                ix = BinOp(Op.MAX, BinOp(Op.MIN, ix, Const(width + 1)),
+                           Const(-1))
+            tap = Cast(UINT32, BufferAccess(
+                "input_1", [ix, BinOp(Op.ADD, y, Const(dy))], UINT8))
+            expr = tap if expr is None else BinOp(Op.ADD, expr, tap, UINT32)
+        func = Func("f", [x, y], dtype=UINT8).define(Cast(UINT8, expr))
+        buffers = {"input_1": _frame(53, shape=(height, width))}
+        try:
+            oracle = realize_interp(func, (out_w, out_h), buffers)
+        except IndexError:
+            oracle = None
+        if oracle is None:
+            with pytest.raises(RealizationError, match="out of bounds"):
+                realize(func, (out_w, out_h), buffers, engine="native")
+        else:
+            np.testing.assert_array_equal(
+                realize(func, (out_w, out_h), buffers, engine="native"),
+                oracle)
+
+    @needs_cc
+    def test_stages_sharing_a_param_name_keep_their_defaults(self):
+        """Two Params named alike with different defaults get two C slots;
+        a caller's value still overrides both, as in the interpreter."""
+        x, y = _vars()
+        tap = Cast(UINT32, BufferAccess("input_1", [x, y], UINT8))
+        expr = BinOp(Op.ADD, BinOp(Op.MUL, tap, Param("param_k", 3, INT32),
+                                   UINT32),
+                     Param("param_k", 5, INT32), UINT32)
+        func = Func("f", [x, y], dtype=UINT8).define(Cast(UINT8, expr))
+        frame = _frame(49)
+        for params in (None, {"param_k": 7}):
+            before = native_stats()
+            out = realize(func, (WIDTH, HEIGHT), {"input_1": frame}, params,
+                          engine="native")
+            assert native_stats()["native_frames"] == \
+                before["native_frames"] + 1
+            np.testing.assert_array_equal(out, realize_interp(
+                func, (WIDTH, HEIGHT), {"input_1": frame}, params))
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +830,13 @@ class TestVectorizeReporting:
 
 class TestGoldenNest:
     def test_blur2_compute_at_matches_golden_c(self):
-        lowered = _blur2_pipeline().lower((96, 128))
-        produced = generate_nest(lowered, UINT8, {}).source
+        produced = _pipeline_source(_blur2_pipeline().lower((96, 128)))
         golden = (GOLDEN_DIR / "native_blur2_compute_at.c").read_text()
         assert produced == golden, (
             "cgen drifted for the blur2 compute_at nest; if intentional, "
-            "refresh tests/golden/native_blur2_compute_at.c (run "
-            "generate_nest on _blur2_pipeline().lower((96, 128)) and write "
-            "program.source) and review the diff")
+            "refresh tests/golden/native_blur2_compute_at.c (write "
+            "_pipeline_source(_blur2_pipeline().lower((96, 128)))) and "
+            "check the diff")
 
     def test_golden_nest_looks_like_segmented_c(self):
         golden = (GOLDEN_DIR / "native_blur2_compute_at.c").read_text()

@@ -188,7 +188,8 @@ class TestBitIdentity:
     def test_backend_reduce_region_primitive_agrees(self, image):
         func = _reduction_stage("input_1")
         outs = {}
-        for name in backend_names():
+        # The NumPy engines' sweep primitive (native runs whole nests as C).
+        for name in ("interp", "compiled"):
             out = np.zeros(image.shape, dtype=np.uint32)
             _evaluate, reduce = get_backend(name).kernels(func)
             reduce(out, (0, 0), (20, WIDTH), {"input_1": image}, {})

@@ -205,13 +205,45 @@ class TestPipelineServer:
         assert server.stats()["completed"] == 2
 
     def test_warm_compile_pays_codegen_up_front(self):
+        # The compiled engine's kernel is the subject (the native engine
+        # resolves no NumPy kernel on a frame it runs as C).
         clear_kernel_cache()
         func = blur_func()
-        PipelineServer(func).close()
+        PipelineServer(func, engine="compiled").close()
         assert kernel_cache_stats["misses"] == 1
-        realize(func, (50, 34), {"input_1": _frames(1)[0]})
+        realize(func, (50, 34), {"input_1": _frames(1)[0]}, engine="compiled")
         assert kernel_cache_stats["misses"] == 1
         assert kernel_cache_stats["hits"] == 1
+
+    def test_native_server_builds_its_program_once(self, monkeypatch):
+        """On native, a served Func's first request builds its C program;
+        later requests generate none and still run as C."""
+        from repro.halide.backends import native as native_mod
+        from repro.halide.backends.native import native_stats, toolchain_path
+
+        if toolchain_path() is None or native_mod.cffi is None:
+            pytest.skip("no C toolchain / cffi: native degrades")
+        func = blur_func()
+        frames = _frames(3)
+        expected = [realize(func, (50, 34), {"input_1": frame},
+                            engine="interp") for frame in frames]
+        with PipelineServer(func, engine="native") as server:
+            first, _ = server.submit(shape=(50, 34),
+                                     buffers={"input_1": frames[0]}).result()
+
+            def generate(*_args, **_kwargs):
+                raise AssertionError("a warm request generated C")
+
+            monkeypatch.setattr(native_mod, "generate_nest", generate)
+            before = native_stats()
+            rest = [future.result()[0] for future in [
+                server.submit(shape=(50, 34), buffers={"input_1": frame})
+                for frame in frames[1:]]]
+            after = native_stats()
+        for output, reference in zip([first] + rest, expected):
+            np.testing.assert_array_equal(output, reference)
+        assert after["native_frames"] == before["native_frames"] + 2
+        assert after["degraded"] == before["degraded"]
 
     def test_frame_shape_pre_lowers_scheduled_pipelines(self):
         """With frame_shape, lowered store kernels compile at construction."""

@@ -107,10 +107,10 @@ def assert_contract(batch, oracles) -> None:
 
 
 def run_chaos_batch(plan, frames, *, deadline=10.0, retries=2,
-                    breaker_threshold=3):
+                    breaker_threshold=3, engine=None):
     """One batch under ``plan``; returns the BatchResult (errors collected)."""
     func = tiled_blur()
-    server = PipelineServer(func, max_pending=4,
+    server = PipelineServer(func, max_pending=4, engine=engine,
                             breaker_threshold=breaker_threshold,
                             breaker_cooldown=0.05)
     try:
@@ -183,11 +183,13 @@ class TestTargetedScenarios:
     def test_tile_fault_degrades_to_the_interp_oracle(self):
         # Every compiled tile fails, its retry too; the interp re-run walks
         # the same parallel tile loop but fires no fault site, so every
-        # request still comes back as the exact frame.
+        # request still comes back as the exact frame.  (Pinned to compiled:
+        # inside a pool worker the tile loop runs serially, which native
+        # runs as one C call that fires no tile site.)
         frames = _frames(2)
         batch, server = run_chaos_batch(
             FaultPlan.parse("tile.execute:p=1", seed=CHAOS_SEED), frames,
-            retries=0)
+            retries=0, engine="compiled")
         assert_contract(batch, _oracles(tiled_blur(), frames))
         assert batch.failed == 0
         assert server.stats()["degraded"] == len(frames)
@@ -203,10 +205,12 @@ class TestTargetedScenarios:
         assert execution_stats["pool_revived"] >= 1
 
     def test_compile_fault_is_retried(self):
+        # The compiled engine's kernel compile is the subject; native runs
+        # the nest as C and resolves no kernel (see the test below).
         frame = _frames(1)[0]
         func = tiled_blur()
         oracle = realize_interp(func, (WIDTH, HEIGHT), {"input_1": frame})
-        server = PipelineServer(func)
+        server = PipelineServer(func, engine="compiled")
         try:
             clear_kernel_cache()
             reset_execution_stats()
@@ -220,6 +224,37 @@ class TestTargetedScenarios:
         # The kernel compiles at the nest's first Store, inside a parallel
         # tile: the tile retry absorbs the fault, or else the server does.
         assert execution_stats["tile_retries"] + server.stats()["retries"] >= 1
+
+    def test_native_compile_fault_degrades_only_that_frame(
+            self, tmp_path, monkeypatch):
+        from repro.halide.backends import native as native_mod
+        from repro.store import STORE_DIR_ENV
+
+        if native_mod.toolchain_path() is None or native_mod.cffi is None:
+            pytest.skip("no C toolchain / cffi: nothing to fault")
+        # A fresh store: the site fires only where the compiler would run.
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        native_mod.reset_native_caches()
+        frames = _frames(2)
+        oracles = _oracles(tiled_blur(), frames)
+        server = PipelineServer(tiled_blur(), engine="native")
+        try:
+            before = native_mod.native_stats()
+            with inject("native.compile:n=1", seed=CHAOS_SEED) as plan:
+                outputs = [server.submit(**request).result(timeout=30)[0]
+                           for request in _requests(frames)]
+            after = native_mod.native_stats()
+        finally:
+            server.close(wait=True)
+            native_mod.reset_native_caches()
+        for output, oracle in zip(outputs, oracles):
+            np.testing.assert_array_equal(output, oracle)
+        assert plan.fired["native.compile"] == 1
+        # The faulted frame ran compiled; the next one compiled and ran C.
+        assert after["degraded"] == before["degraded"] + 1
+        assert after["native_frames"] == before["native_frames"] + 1
+        assert after["compiles"] == before["compiles"] + 1
+        assert server.stats()["degraded"] == 0
 
     def test_injected_latency_resolves_within_the_deadline(self):
         func = tiled_blur()
