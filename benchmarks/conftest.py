@@ -95,6 +95,29 @@ def time_callable(fn, repeats: int = 3) -> float:
     return min(samples)
 
 
+def alternate(first, second, rounds: int) -> tuple[list[float], list[float]]:
+    """Per-round seconds of ``first()`` and ``second()`` over ``rounds``.
+
+    Two untimed calls of each warm up first (on the default engine a nest's
+    second call builds its C program).  Each round then times each side,
+    flipping the order every round, so host drift and one-sided load spikes
+    fall on both sides; callers take medians.  A side's round is the faster
+    of two back-to-back calls: the first call after the other side pays for
+    what that side left behind (a sub-millisecond lifted call right after a
+    legacy one ran 3x its warm time), so single calls would make every
+    other round an outlier.
+    """
+    for _ in range(2):
+        first()
+        second()
+    first_samples, second_samples = [], []
+    for round_index in range(rounds):
+        pair = [(first, first_samples), (second, second_samples)]
+        for fn, samples in (pair if round_index % 2 == 0 else pair[::-1]):
+            samples.append(time_callable(fn, 2))
+    return first_samples, second_samples
+
+
 def print_table(title: str, headers: list[str], rows: list[list]) -> None:
     widths = [max(len(str(headers[i])), *(len(str(row[i])) for row in rows))
               for i in range(len(headers))]

@@ -7,6 +7,8 @@ per-invocation preparation cost.
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro.rejuvenation import (
@@ -15,10 +17,15 @@ from repro.rejuvenation import (
     lift_irfanview_filter,
 )
 
-from conftest import print_table, record_bench, time_callable
+from conftest import alternate, print_table, record_bench
 
 PAPER_SPEEDUPS = {"invert": 2.03, "solarize": 2.16, "blur": 8.70, "sharpen": 6.98}
 FILTERS = list(PAPER_SPEEDUPS)
+#: Alternating legacy/lifted rounds per filter (after a warm-up, see
+#: ``conftest.alternate``): each key records the median round and the
+#: speedup is the median per-round ratio, so host drift and one-sided load
+#: spikes cancel (as in test_fig9_insitu.py).
+ROUNDS = 7
 
 
 @pytest.fixture(scope="module")
@@ -26,10 +33,13 @@ def fig7_iv_rows(bench_interleaved):
     rows = []
     for name in FILTERS:
         lifted = lift_irfanview_filter(name)
-        legacy_time = time_callable(lambda: legacy_irfanview_filter(name, bench_interleaved))
-        lifted_time = time_callable(lambda: apply_lifted_irfanview(lifted, name,
-                                                                   bench_interleaved))
-        speedup = legacy_time / lifted_time if lifted_time else float("inf")
+        legacy, lifted_samples = alternate(
+            lambda: legacy_irfanview_filter(name, bench_interleaved),
+            lambda: apply_lifted_irfanview(lifted, name, bench_interleaved), ROUNDS)
+        legacy_time = statistics.median(legacy)
+        lifted_time = statistics.median(lifted_samples)
+        speedup = statistics.median(
+            [a / b if b else float("inf") for a, b in zip(legacy, lifted_samples)])
         record_bench(f"fig7_irfanview/{name}/legacy", legacy_time, engine="legacy")
         record_bench(f"fig7_irfanview/{name}/lifted", lifted_time, engine="default")
         rows.append([name, f"{legacy_time * 1000:.1f}", f"{lifted_time * 1000:.1f}",

@@ -13,6 +13,8 @@ sliding-window trick the lift cancels — slows down (0.80x in the paper).
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro.rejuvenation import (
@@ -21,13 +23,18 @@ from repro.rejuvenation import (
     lift_photoshop_filter,
 )
 
-from conftest import print_table, record_bench, time_callable
+from conftest import alternate, print_table, record_bench
 
 PAPER_SPEEDUPS = {
     "invert": 1.74, "blur": 2.62, "blur_more": 1.12, "sharpen": 2.46,
     "sharpen_more": 2.08, "threshold": 1.42, "box_blur": 0.80,
 }
 FILTERS = list(PAPER_SPEEDUPS)
+#: Alternating legacy/lifted rounds per filter (after a warm-up, see
+#: ``conftest.alternate``): each key records the median round and the
+#: speedup is the median per-round ratio, so host drift and one-sided load
+#: spikes cancel (as in test_fig9_insitu.py).
+ROUNDS = 7
 PARAMS = {"threshold": 128, "brightness": 40}
 
 
@@ -36,10 +43,13 @@ def fig7_rows(bench_planes):
     rows = []
     for name in FILTERS:
         lifted = lift_photoshop_filter(name)
-        legacy_time = time_callable(lambda: legacy_photoshop_filter(name, bench_planes, PARAMS))
-        lifted_time = time_callable(lambda: apply_lifted_photoshop(lifted, name,
-                                                                   bench_planes, PARAMS))
-        speedup = legacy_time / lifted_time if lifted_time else float("inf")
+        legacy, lifted_samples = alternate(
+            lambda: legacy_photoshop_filter(name, bench_planes, PARAMS),
+            lambda: apply_lifted_photoshop(lifted, name, bench_planes, PARAMS), ROUNDS)
+        legacy_time = statistics.median(legacy)
+        lifted_time = statistics.median(lifted_samples)
+        speedup = statistics.median(
+            [a / b if b else float("inf") for a, b in zip(legacy, lifted_samples)])
         record_bench(f"fig7_photoshop/{name}/legacy", legacy_time, engine="legacy")
         record_bench(f"fig7_photoshop/{name}/lifted", lifted_time, engine="default")
         rows.append([name, f"{legacy_time * 1000:.1f}", f"{lifted_time * 1000:.1f}",

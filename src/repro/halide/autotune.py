@@ -50,9 +50,9 @@ from .tuningdb import (TuningDatabase, TuningRecord, func_workload,
 _TILE_CHOICES = (0, 8, 16, 32, 64, 128)
 _NONZERO_TILES = tuple(t for t in _TILE_CHOICES if t)
 
-#: Vectorize draws: ``True`` is the default width, integers are explicit
-#: SIMD split widths (only the native backend distinguishes them; the NumPy
-#: engines ignore the directive either way).
+#: Vectorize draws: ``True`` is the target's natural width, integers are
+#: explicit SIMD lane counts (only the native backend distinguishes them;
+#: the NumPy engines ignore the directive either way).
 _VECTORIZE_CHOICES = (True, 4, 8, 16)
 
 #: Default cap on live-timed *sampled* candidates per session (the baseline
@@ -177,8 +177,8 @@ def _schedule_key(schedule: Schedule) -> tuple:
     reads the same as the default), so dedupe must compare fields, not
     descriptions — otherwise distinct strip heights collapse into one
     candidate.  The vectorize flag is folded to its effective SIMD width so
-    distinct widths stay distinct while ``True`` and the explicit default
-    width (which lower to the same program) collapse.
+    distinct widths stay distinct while spellings of "off" (``False``,
+    ``0``, ``1``; the same program) collapse.
     """
     return (schedule.tile_x, schedule.tile_y, vectorize_width(schedule),
             schedule.parallel, schedule.fuse_producers, schedule.compute,

@@ -78,7 +78,7 @@ from ...ir import (
     Var,
 )
 from ...ir.types import DType
-from ..func import _strip_self_reference, vectorize_width
+from ..func import NATURAL_VECTOR_WIDTH, _strip_self_reference, vectorize_width
 
 __all__ = ["CGenError", "SegmentSpec", "NestProgram", "generate_nest"]
 
@@ -219,6 +219,10 @@ class _SegmentEmitter:
         # (line index, depth, checks): load bounds checks hoisted in front
         # of the current loop box
         self.hoisted: Optional[Tuple[int, int, Dict[str, None]]] = None
+        # inside a Store's dense version: loads its box check covers skip
+        # the negative wrap; and whether the body emitted so far can return
+        self.dense = False
+        self.exits = False
 
     # ------------------------------------------------------------------ util
 
@@ -400,11 +404,17 @@ class _SegmentEmitter:
             dim = view.dims[axis]
             val, kind = self._expr(index)
             idx = self._temp("int64_t", self._as_i64(val, kind))
-            # branchless numpy-style negative wrap: idx += dim when idx < 0
-            wrapped = self._temp("int64_t", f"{idx} + (({idx} >> 63) & {dim})")
             # NumPy indexing raises outside [-dim, dim): so does the load.
             span = None if self.hoisted is None else self._index_range(index)
+            if span is not None and self.dense:
+                # the dense version runs only when span's low is >= 0
+                wrapped = idx
+            else:
+                # branchless numpy-style negative wrap: idx += dim when idx < 0
+                wrapped = self._temp(
+                    "int64_t", f"{idx} + (({idx} >> 63) & {dim})")
             if span is None:
+                self.exits = True
                 self.emit(f"if ((uint64_t){wrapped} >= (uint64_t){dim}) "
                           "{ return 4; }")
             else:
@@ -481,6 +491,7 @@ class _SegmentEmitter:
     def _int_divmod(self, a: str, ak: str, b: str, bk: str, mod: bool) -> Tuple[str, str]:
         ta = self._temp("int64_t", self._as_i64(a, ak))
         tb = self._temp("int64_t", self._as_i64(b, bk))
+        self.exits = True
         self.emit(f"if ({tb} == 0) {{ return 1; }}")
         self._counter += 1
         out = f"t{self._counter}"
@@ -670,7 +681,65 @@ class _SegmentEmitter:
 
     # ------------------------------------------------------------- Store
 
+    def _invariant(self, expr: Expr) -> bool:
+        """An integer the Store's loops never change: a constant, a
+        Store-local param, or a sum or difference of those."""
+        if isinstance(expr, Const):
+            return type(expr.value) is int
+        if isinstance(expr, Param):
+            return expr.name in self.local_params
+        return (isinstance(expr, BinOp) and expr.op in (Op.ADD, Op.SUB)
+                and self._invariant(expr.a) and self._invariant(expr.b))
+
+    def _unit_offset(self, expr: Expr, name: str) -> bool:
+        """``expr`` is the variable ``name`` plus invariant terms."""
+        if isinstance(expr, Var):
+            return expr.name == name
+        if not isinstance(expr, BinOp) or expr.op not in (Op.ADD, Op.SUB):
+            return False
+        if self._unit_offset(expr.a, name):
+            return self._invariant(expr.b)
+        return (expr.op == Op.ADD and self._invariant(expr.a)
+                and self._unit_offset(expr.b, name))
+
+    def _pair_loads(self, expr: Expr, inner: str,
+                    outer: str) -> Optional[Dict[str, None]]:
+        """Buffers ``expr`` reads as ``b(inner + c0, outer + c1, ...)``.
+
+        Such a load's flat index is affine in the fused counter of the
+        ``(inner, outer)`` loop pair once the buffer's innermost extent
+        equals the inner loop's.  None when either variable appears
+        anywhere else: then the pair never fuses.
+        """
+        found: Dict[str, None] = {}
+
+        def visit(node: Expr) -> bool:
+            if isinstance(node, Var):
+                return node.name not in (inner, outer)
+            if (isinstance(node, BufferAccess) and len(node.indices) >= 2
+                    and self._unit_offset(node.indices[0], inner)
+                    and self._unit_offset(node.indices[1], outer)):
+                found[node.buffer] = None
+                return all(visit(index) for index in node.indices[2:])
+            return all(visit(child) for child in node.children)
+
+        return found if visit(expr) else None
+
     def _store(self, stmt: Store) -> None:
+        """One ``Store`` as dense loops, in up to two versions.
+
+        The dense version runs when the hoisted corner checks also prove
+        every checked load index ``>= 0``: those loads skip NumPy's
+        negative wrap, and when the store target and every load through the
+        innermost variable pair have the inner loop's extent as their
+        innermost dimension, the pair runs as one fused loop (Halide's
+        ``fuse``) — an extent choice at run time, since the fused loop's
+        flat indices equal the pair's.  Otherwise the wrapped, unfused
+        version runs (Halide's ``specialize``).  The innermost loop carries
+        ``#pragma omp simd`` (``simdlen(W)`` for an explicit width) unless
+        the schedule turns vectorization off or the body can return early:
+        gcc rejects an early exit from an ``omp simd`` loop.
+        """
         func = stmt.func
         if func.value is None:
             raise CGenError(f"store of {func.name!r} has no pure definition")
@@ -708,6 +777,15 @@ class _SegmentEmitter:
         for pname, ident in local_values:
             self.local_params[pname] = ident
         width = vectorize_width(func.schedule)
+        last = rank - 1
+        # The low corner of every load index the box check covers.
+        lows = {span[0]: None
+                for node in func.value.walk() if isinstance(node, BufferAccess)
+                for span in map(self._index_range, node.indices) if span}
+        pair = None
+        if rank >= 2:
+            pair = self._pair_loads(func.value, func.variables[0].name,
+                                    func.variables[1].name)
 
         def body(loop_idx: List[str]) -> None:
             coords = [self._temp("int64_t", f"{orgs[a]} + {loop_idx[a]}")
@@ -726,45 +804,49 @@ class _SegmentEmitter:
             flat = self._temp("int64_t", " + ".join(terms))
             self.emit(f"{view.ptr}[{flat}] = ({view.ctype})({wrapped});")
 
-        # serial loops over the outer axes, SIMD split on the innermost
-        outer_idx: List[str] = []
-        for a in range(rank - 1):
-            ident = self._fresh(f"i{a}")
-            self.emit(f"for (int64_t {ident} = 0; {ident} < {exts[a]}; ++{ident}) {{")
+        def loops(dense: bool) -> None:
+            extents = list(exts)
+            if dense and pair is not None:
+                inner_dims = dict.fromkeys([view.dims[last]] + [
+                    self._view(name).dims[-1] for name in pair])
+                fuse = self._temp("int64_t", " && ".join(
+                    f"{dim} == {exts[last]}" for dim in inner_dims))
+                extents[last - 1] = self._temp(
+                    "int64_t", f"{fuse} ? INT64_C(1) : {exts[last - 1]}")
+                extents[last] = self._temp(
+                    "int64_t", f"{fuse} ? {exts[last - 1]} * {exts[last]} : "
+                    f"{exts[last]}")
+            idents: List[str] = []
+            for a in range(rank):
+                header = len(self.lines)    # ends as the innermost loop's
+                ident = self._fresh(f"i{a}")
+                self.emit(f"for (int64_t {ident} = 0; {ident} < {extents[a]}; "
+                          f"++{ident}) {{")
+                self.depth += 1
+                idents.append(ident)
+            self.dense, self.exits = dense, False
+            body(idents)
+            if width and not self.exits:
+                self.lines.insert(header, "    " * (self.depth - 1) + (
+                    "#pragma omp simd" if width == NATURAL_VECTOR_WIDTH
+                    else f"#pragma omp simd simdlen({width})"))
+            self.dense = False
+            for _ in range(rank):
+                self.depth -= 1
+                self.emit("}")
+
+        if lows:
+            self.emit(f"if ({' && '.join(f'{lo} >= 0' for lo in lows)}) {{")
             self.depth += 1
-            outer_idx.append(ident)
-        last = rank - 1
-        if width >= 2:
-            iv = self._fresh("iv")
-            lane = self._fresh("lane")
-            self.emit(f"int64_t {iv} = 0;")
-            self.emit(f"for (; {iv} + {width} <= {exts[last]}; {iv} += {width}) {{")
-            self.depth += 1
-            self.emit("#pragma GCC ivdep")
-            self.emit(f"for (int64_t {lane} = 0; {lane} < {width}; ++{lane}) {{")
-            self.depth += 1
-            inner = self._temp("int64_t", f"{iv} + {lane}")
-            body(outer_idx + [inner])
+            loops(dense=True)
             self.depth -= 1
-            self.emit("}")
-            self.depth -= 1
-            self.emit("}")
-            tail = self._fresh("tail")
-            self.emit(f"for (int64_t {tail} = {iv}; {tail} < {exts[last]}; ++{tail}) {{")
+            self.emit("} else {")
             self.depth += 1
-            body(outer_idx + [tail])
+            loops(dense=False)
             self.depth -= 1
             self.emit("}")
         else:
-            ident = self._fresh(f"i{last}")
-            self.emit(f"for (int64_t {ident} = 0; {ident} < {exts[last]}; ++{ident}) {{")
-            self.depth += 1
-            body(outer_idx + [ident])
-            self.depth -= 1
-            self.emit("}")
-        for _ in range(rank - 1):
-            self.depth -= 1
-            self.emit("}")
+            loops(dense=True)
         self._close_box(box)
         self.local_params = saved_locals
         self.depth -= 1

@@ -20,8 +20,9 @@ store of an untiled Func) are allocated before the call.
 
 Compilation is cached at three levels:
 
-* an in-process table keyed on the *source digest* (sha256 of the C source
-  plus the toolchain fingerprint) holding each loaded library weakly: it
+* an in-process table keyed on the *source digest* (sha256 of the C source,
+  the toolchain fingerprint, :data:`CFLAGS` and the host target that
+  ``-march=native`` resolves to) holding each loaded library weakly: it
   stays loaded while a memoized program uses it, so the number loaded is
   bounded by the live nests (``realize`` keeps at most
   :data:`~repro.halide.realize.MAX_FUNC_NESTS`, each ``FuncPipeline``
@@ -29,7 +30,8 @@ Compilation is cached at three levels:
   pipeline), not by the shapes a process has seen;
 * the :class:`~repro.store.ArtifactStore` under a new ``native/`` stage,
   keyed on the same digest, holding the ``.so`` bytes — a warm start costs
-  zero compiler invocations;
+  zero compiler invocations, and a store shared across hosts never hands
+  out a library built for an ISA this one lacks;
 * a memo on the nest's root statement (its ``cache``), keyed on the
   dtypes and ranks of the buffers the nest touches, the param kinds and the
   toolchain, so repeated frames skip even the source generation: one dict
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import tempfile
@@ -71,11 +74,22 @@ from ..realize import RealizationError
 from .base import Backend, _ExecState, _scalar, run_parallel_loop
 from .cgen import CGenError, NestProgram, SegmentSpec, generate_nest
 
-__all__ = ["NativeBackend", "NativeCompileError", "native_stats",
-           "reset_native_caches", "toolchain_path"]
+__all__ = ["CFLAGS", "NativeBackend", "NativeCompileError", "host_target",
+           "native_stats", "reset_native_caches", "toolchain_path"]
 
 #: ArtifactStore stage for cached shared objects.
 NATIVE_STAGE = "native"
+
+#: Compiler flags of every nest.  ``-march=native`` builds for the host's
+#: ISA (the digest records what it resolves to, see :func:`host_target`) and
+#: ``-fopenmp-simd`` honours cgen's ``#pragma omp simd`` without linking an
+#: OpenMP runtime; gcc vectorizes those loops at ``-O2`` already, and a
+#: nest's build is paid inside one of its frames.  ``-fwrapv``: signed wrap
+#: is defined (belt-and-braces; cgen already emits unsigned arithmetic).
+#: ``-ffp-contract=off``: no FMA fusion, so float results match NumPy's
+#: one-op-at-a-time evaluation.
+CFLAGS = ("-O2", "-march=native", "-fopenmp-simd", "-ffp-contract=off",
+          "-fwrapv", "-fPIC", "-shared")
 
 _DIV_ZERO_MESSAGE = "integer division by zero (x86 idiv raises #DE)"
 
@@ -162,6 +176,38 @@ def _toolchain_fingerprint(cc: str) -> str:
         fingerprint = cc
     _FINGERPRINTS[cc] = fingerprint
     return fingerprint
+
+
+#: compiler path -> the target ``-march=native`` resolves to
+_TARGETS: dict = {}
+
+
+def host_target(cc: str) -> str:
+    """The ISA ``-march=native`` selects for ``cc`` on this host.
+
+    The ``-m`` flags and tuning ``--param`` values (gcc) or the target CPU
+    and features (clang) that ``cc -###`` would pass to the compiler
+    proper; resolved once per compiler.  Empty when that dry run prints no
+    such line — a compiler that cannot target the host then fails the
+    build, which degrades.
+    """
+    cached = _TARGETS.get(cc)
+    if cached is not None:
+        return cached
+    target = []
+    try:
+        dry_run = subprocess.run(
+            [cc, "-march=native", "-###", "-E", "-x", "c", os.devnull],
+            capture_output=True, text=True, timeout=30).stderr
+        line = next(line for line in dry_run.splitlines() if "cc1" in line)
+        tokens = shlex.split(line)
+        target = [token for prev, token in zip([""] + tokens, tokens)
+                  if token.startswith("-m") or prev in (
+                      "--param", "-target-cpu", "-target-feature")]
+    except Exception:
+        pass
+    cached = _TARGETS[cc] = " ".join(target)
+    return cached
 
 
 # -- caches ------------------------------------------------------------------
@@ -356,9 +402,9 @@ class NativeBackend(Backend):
         program = generate_nest(stmt, table, dict(kinds))
         outputs = tuple((name, shape, dtype.to_numpy())
                         for name, shape, dtype in outputs)
-        fingerprint = _toolchain_fingerprint(cc)
-        digest = hashlib.sha256(
-            (program.source + "\0" + fingerprint).encode()).hexdigest()
+        digest = hashlib.sha256("\0".join(
+            (program.source, _toolchain_fingerprint(cc), " ".join(CFLAGS),
+             host_target(cc))).encode()).hexdigest()
         with _COMPILE_LOCK:
             if digest in _FAILED:
                 return None
@@ -399,12 +445,8 @@ class NativeBackend(Backend):
         src_path = os.path.join(_so_scratch_dir(), f"{digest}.c")
         with open(src_path, "w") as handle:
             handle.write(program.source)
-        # -fwrapv: signed wrap is defined (belt-and-braces; cgen already
-        # emits unsigned arithmetic).  -ffp-contract=off: no FMA fusion, so
-        # float results match NumPy's one-op-at-a-time evaluation.
         result = subprocess.run(
-            [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fwrapv",
-             "-o", so_path, src_path, "-lm"],
+            [cc, *CFLAGS, "-o", so_path, src_path, "-lm"],
             capture_output=True, text=True)
         if result.returncode != 0:
             _bump("compile_failures")

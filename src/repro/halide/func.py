@@ -70,26 +70,33 @@ class RDom:
 #: associative-parallel reduction whose schedule carries no ``tile_y``.
 DEFAULT_REDUCTION_STRIP = 64
 
-#: SIMD lanes the native backend strip-mines a vectorized inner loop by when
-#: the schedule says ``vectorize=True`` without an explicit width.
-DEFAULT_VECTORIZE_WIDTH = 8
+#: The width ``vectorize=True`` denotes: the target's natural one, which the
+#: C compiler picks per loop from the narrowest type the loop touches
+#: (Halide's ``natural_vector_size``).  A fixed lane count suits one element
+#: type only — eight lanes fill an AVX-512 register of doubles but run a
+#: uint8 stencil in 8-byte vectors.
+NATURAL_VECTOR_WIDTH = -1
 
 
 def vectorize_width(schedule: "Schedule") -> int:
-    """The SIMD split width a schedule's ``vectorize`` flag denotes.
+    """The SIMD width a schedule's ``vectorize`` flag denotes.
 
-    ``True`` means "vectorize at the default width"; an explicit integer
-    ``>= 2`` is a width the autotuner sampled; ``False``/``0``/``1`` mean no
-    inner-loop split (0).  Only the native backend consumes this — the NumPy
-    engines are whole-region vectorized regardless (see
-    :meth:`Schedule.describe`).
+    ``True`` means the target's natural width (:data:`NATURAL_VECTOR_WIDTH`);
+    an explicit integer ``>= 2`` is a lane count (the autotuner samples
+    these); ``False``/``0``/``1`` mean no SIMD directive (0).  Only the
+    native backend consumes this — the NumPy engines are whole-region
+    vectorized regardless (see :meth:`Schedule.describe`).
     """
     flag = schedule.vectorize
     if flag is True:
-        return DEFAULT_VECTORIZE_WIDTH
+        return NATURAL_VECTOR_WIDTH
     if isinstance(flag, int) and not isinstance(flag, bool) and flag >= 2:
         return int(flag)
     return 0
+
+
+def _width_label(width: int) -> str:
+    return "natural" if width == NATURAL_VECTOR_WIDTH else str(width)
 
 
 @dataclass
@@ -126,9 +133,9 @@ class Schedule:
 
     tile_x: int = 0
     tile_y: int = 0
-    #: ``True`` = vectorize at the default width, an int >= 2 = explicit SIMD
-    #: width (only the native backend splits the inner loop; see
-    #: :func:`vectorize_width`), ``False`` = off.
+    #: ``True`` = vectorize at the target's natural width, an int >= 2 =
+    #: explicit SIMD lane count (only the native backend emits the
+    #: directive; see :func:`vectorize_width`), ``False`` = off.
     vectorize: "bool | int" = True
     parallel: bool = False
     fuse_producers: bool = True
@@ -150,9 +157,9 @@ class Schedule:
         :meth:`repro.halide.lower.LoweredPipeline.describe`.
 
         With ``backend`` the vectorize flag reports per-backend truth: only
-        the native backend actually splits the inner loop by the SIMD width,
-        so other engines report the directive as ignored (they are
-        whole-region vectorized by NumPy regardless of the flag).
+        the native backend emits a SIMD directive for the inner loop, so
+        other engines report it as ignored (they are whole-region vectorized
+        by NumPy regardless of the flag).
         """
         parts = []
         if self.compute == "root":
@@ -164,7 +171,7 @@ class Schedule:
         if self.vectorize:
             width = vectorize_width(self)
             if backend == "native":
-                parts.append(f"vectorize({width})")
+                parts.append(f"vectorize({_width_label(width)})")
             elif backend is not None:
                 parts.append(f"vectorize(ignored:{backend})")
             elif self.vectorize is True:
@@ -222,12 +229,13 @@ class Func:
         return self
 
     def vectorize(self, enabled: "bool | int" = True) -> "Func":
-        """Request an inner-loop SIMD split on the native backend.
+        """Request SIMD inner loops on the native backend.
 
-        ``True`` uses :data:`DEFAULT_VECTORIZE_WIDTH`; an explicit integer
-        ``>= 2`` sets the width (the autotuner samples these).  The NumPy
-        engines are whole-region vectorized either way and report the
-        directive as ignored (``Schedule.describe(backend=...)``).
+        ``True`` uses the target's natural width
+        (:data:`NATURAL_VECTOR_WIDTH`); an explicit integer ``>= 2`` sets the
+        lane count (the autotuner samples these).  The NumPy engines are
+        whole-region vectorized either way and report the directive as
+        ignored (``Schedule.describe(backend=...)``).
         """
         self.schedule.vectorize = enabled
         return self
@@ -353,9 +361,10 @@ class Func:
         :data:`repro.halide.parallel.execution_stats`.
 
         With a ``backend`` name the mode also reports the vectorize
-        directive honestly: only the native backend emits the SIMD split,
-        so ``execution_mode("native")`` appends ``+vectorize(W)`` while the
-        NumPy engines append ``+vectorize(ignored)``.
+        directive honestly: only the native backend emits it, so
+        ``execution_mode("native")`` appends ``+vectorize(W)`` (or
+        ``+vectorize(natural)``) while the NumPy engines append
+        ``+vectorize(ignored)``.
         """
         mode = "serial"
         if self.schedule.parallel and self.parallel_unsupported_reason() is None \
@@ -364,7 +373,7 @@ class Func:
         if backend is not None and self.schedule.vectorize:
             width = vectorize_width(self.schedule)
             if backend == "native":
-                mode += f"+vectorize({width})"
+                mode += f"+vectorize({_width_label(width)})"
             else:
                 mode += "+vectorize(ignored)"
         return mode

@@ -32,7 +32,7 @@ from ..ir import (
 )
 # _strip_self_reference lives in func.py (next to the associativity test it
 # underpins) and stays importable from here for the compiled backend.
-from .func import Func, _strip_self_reference  # noqa: F401
+from .func import Func, _strip_self_reference, vectorize_width  # noqa: F401
 from .lower import _shift_of_index, func_output_buffer, lower_func
 
 
@@ -261,17 +261,17 @@ def _func_nest(func: Func, out_shape: tuple[int, ...],
 
     The key holds the objects that define the Func — its value and
     reduction (by identity), dtype and variable names — plus its name,
-    tiling, parallel flag and both shapes, so a ``define``, an ``update`` or
-    an in-place schedule change lowers afresh.  The nest's nodes memoize
-    their kernels, so a warm call resolves none.  Identities in the key stay
-    unambiguous because the entry keeps the Func (through the nest's nodes),
-    its value and its reduction alive.
+    tiling, parallel flag, vectorize width and both shapes, so a
+    ``define``, an ``update`` or an in-place schedule change lowers afresh.
+    The nest's nodes memoize their kernels, so a warm call resolves none.
+    Identities in the key stay unambiguous because the entry keeps the Func
+    (through the nest's nodes), its value and its reduction alive.
     """
     schedule = func.schedule
     key = (id(func), func.name, id(func.value), id(func.reduction),
            func.dtype, tuple([var.name for var in func.variables]),
-           schedule.tile_x, schedule.tile_y, schedule.parallel, out_shape,
-           source_shape)
+           schedule.tile_x, schedule.tile_y, schedule.parallel,
+           vectorize_width(schedule), out_shape, source_shape)
     with _NESTS_LOCK:
         entry = _NESTS.pop(key, None)
         if entry is not None:

@@ -137,7 +137,12 @@ class _ExpiryScheduler:
 
     @classmethod
     def cancel(cls, entry: list) -> None:
+        # Drop the callback too: the entry stays in the heap until its
+        # expiry, and a callback that reaches the request's futures (whose
+        # done-callbacks reach the entry) would make a reference cycle
+        # keeping every output alive until a full collection.
         entry[cls._CANCELLED] = True
+        entry[cls._CALLBACK] = None
 
     def _run(self) -> None:
         while True:
@@ -152,10 +157,11 @@ class _ExpiryScheduler:
                     self._cond.wait(wait)
                     continue
                 _, _, entry = heapq.heappop(self._heap)
-            if entry[self._CANCELLED]:
+            callback = entry[self._CALLBACK]
+            if entry[self._CANCELLED] or callback is None:
                 continue
             try:
-                entry[self._CALLBACK]()
+                callback()
             except Exception:            # an expiry must never kill the clock
                 pass
 

@@ -16,6 +16,7 @@ artifacts and performs zero instrumented runs.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -115,6 +116,29 @@ def _corner_points(extents: list[int]) -> list[tuple[int, ...]]:
     return points
 
 
+#: ``id(result)`` -> {buffer name: table}; a finalizer drops the entry with
+#: its LiftResult, so an id is never read after it can be reused.
+_TABLES: dict[int, dict[str, np.ndarray]] = {}
+
+
+def _lookup_table(result: LiftResult, name: str) -> np.ndarray:
+    """Table input ``name`` of ``result``, read from the traced memory once.
+
+    Every request of the result shares the array, so it is read-only.
+    """
+    tables = _TABLES.get(id(result))
+    if tables is None:
+        tables = _TABLES.setdefault(id(result), {})
+        weakref.finalize(result, _TABLES.pop, id(result), None)
+    table = tables.get(name)
+    if table is None:
+        table = result.buffer_specs[name].read_array(
+            result.trace_run.memory.read_uint)
+        table.flags.writeable = False
+        table = tables.setdefault(name, table)
+    return table
+
+
 def photoshop_kernel_request(result: LiftResult, filter_name: str,
                              kernel, channel: str,
                              planes: dict[str, np.ndarray]) -> dict:
@@ -132,10 +156,9 @@ def photoshop_kernel_request(result: LiftResult, filter_name: str,
                     if result.buffer_specs.get(name) is None
                     or result.buffer_specs[name].dimensionality > 1]
     for name in sorted(kernel.input_names):
-        spec = result.buffer_specs.get(name)
         if name not in image_inputs:
-            # A lookup table input: rebuild it from the traced run.
-            buffers[name] = spec.read_array(result.trace_run.memory.read_uint)
+            # A lookup table input, rebuilt from the traced run once.
+            buffers[name] = _lookup_table(result, name)
             continue
         if len(image_inputs) == 1:
             source_channel = channel

@@ -15,9 +15,14 @@ Three layers of evidence:
   schedules execute the emitted C (`skipif` no toolchain) and must match
   the oracle bit-for-bit, including uint16 wraparound across reduction
   strips and every vectorize width;
+* **dense loops** — hypothesis-random interleaved stencils take each
+  version of a ``Store`` (fused, unfused, wrapped) against the oracle,
+  loops that can return early stay native, and gcc's own report says the
+  lifted IrfanView Store loops vectorize;
 * **caching / fallback** — the ArtifactStore ``native/`` stage serves warm
-  ``.so`` bytes with zero compiler invocations, and a missing toolchain
-  degrades to the compiled backend.
+  ``.so`` bytes with zero compiler invocations but never across compiler
+  flags or host targets, and a missing toolchain degrades to the compiled
+  backend.
 
 A golden file pins the emitted C for the blur2 compute_at nest alongside
 the existing Halide-C++ goldens in ``tests/golden/``.
@@ -41,8 +46,8 @@ from repro.halide.backends.cgen import generate_nest
 from repro.halide.backends.native import (native_stats, reset_native_caches,
                                           toolchain_path)
 from repro.ir import (
-    BinOp, BufferAccess, Cast, Const, INT32, Op, Param, UINT8, UINT16, UINT32,
-    Var as IRVar,
+    BinOp, BufferAccess, Call, Cast, Const, FLOAT64, INT32, Op, Param, UINT8,
+    UINT16, UINT32, Var as IRVar,
 )
 
 #: The ``repro.halide.realize`` module (the package attribute of that name
@@ -382,11 +387,240 @@ class TestScheduledNests:
         oracle = self._build(("stencil_x",)).realize_interp(image)
         for out in outputs:
             np.testing.assert_array_equal(out, oracle)
-        # distinct widths emit distinct inner loops; True == default width 8
-        assert sources[4] != sources[16]
-        assert sources[False] != sources[4]
-        assert "#pragma GCC ivdep" in sources[4]
-        assert "#pragma GCC ivdep" not in sources[False]
+        # an explicit width is a lane count; True leaves the lane count to
+        # the compiler (the target's natural width); False emits no pragma
+        assert "#pragma omp simd simdlen(4)\n" in sources[4]
+        assert "#pragma omp simd simdlen(16)\n" in sources[16]
+        assert "#pragma omp simd\n" in sources[True]
+        assert "simdlen" not in sources[True]
+        assert "#pragma omp simd" not in sources[False]
+
+
+# ---------------------------------------------------------------------------
+# Dense Store loops: both versions against the oracle
+# ---------------------------------------------------------------------------
+
+#: Float weights that stress ``cast<uint8>(round(...))``: NaN, infinities,
+#: values outside int64, and .5 ties (``rint`` rounds them to even).
+SPECIAL_WEIGHTS = (float("nan"), float("inf"), float("-inf"), 1e19, -1e19,
+                   0.5, 1.5, 2.5, -0.5, -1.5)
+
+
+def _interleaved_stencil(taps):
+    """``cast<uint8>(round(sum_k w_k * in(c + dc, x + dx, y + dy)))`` over
+    an interleaved ``(y, x, c)`` frame, one float Param per tap — the shape
+    of the lifted IrfanView float stencils."""
+    c, x, y = Var("x_0"), Var("x_1"), Var("x_2")
+    expr = None
+    for k, offsets in enumerate(taps):
+        index = [v if d == 0 else BinOp(Op.ADD, v, Const(d))
+                 for v, d in zip((c, x, y), offsets)]
+        load = Cast(UINT32, BufferAccess("input_1", index, UINT8))
+        tap = BinOp(Op.MUL, Param(f"param_w{k}", 1.0, FLOAT64),
+                    Cast(FLOAT64, load), FLOAT64)
+        expr = tap if expr is None else BinOp(Op.ADD, expr, tap, FLOAT64)
+    return Func("iv", [c, x, y], dtype=UINT8).define(
+        Cast(UINT8, Call("round", [expr], INT32)))
+
+
+def _simd_loops(source):
+    """``(first, last)`` source lines of each ``omp simd`` loop."""
+    lines = source.splitlines()
+    spans = []
+    for number, line in enumerate(lines):
+        if line.strip().startswith("#pragma omp simd"):
+            indent = line[:len(line) - len(line.lstrip())]
+            end = next(n for n in range(number + 1, len(lines))
+                       if lines[n] == indent + "}")
+            spans.append((number + 2, end + 1))
+    return spans
+
+
+@needs_cc
+class TestDenseLoops:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_stencils_match_oracle(self, data):
+        """Fused, unfused and wrapped versions of one Store: drawn channel
+        counts, offsets (negative ones take the wrapped version), caller
+        frames wider than the store (no fusion), tiles that cut the channel
+        axis, and weights through every rounding edge."""
+        from repro.halide.realize import RealizationError
+
+        channels = data.draw(st.integers(1, 4), label="channels")
+        width = data.draw(st.integers(1, 12), label="width")
+        height = data.draw(st.integers(1, 6), label="height")
+        # non-negative offsets take the dense version, negative ones (NumPy
+        # wraps them) the wrapped one
+        low = -2 if data.draw(st.booleans(), label="negative offsets") else 0
+        taps = data.draw(st.lists(st.tuples(
+            st.integers(max(low, -1), 1), st.integers(low, 2),
+            st.integers(low, 2)), min_size=1, max_size=4),
+            label="taps (dc, dx, dy)")
+        # the frame beyond what the taps read, per (c, x, y): a wider
+        # channel axis never fuses, -1 reads out of bounds
+        margin = data.draw(st.tuples(st.integers(-1, 1), st.integers(-1, 2),
+                                     st.integers(-1, 2)), label="margin")
+        weights = data.draw(st.lists(
+            st.sampled_from(SPECIAL_WEIGHTS)
+            | st.floats(-300, 300, allow_nan=False),
+            min_size=len(taps), max_size=len(taps)), label="weights")
+        tile = data.draw(st.sampled_from([None, (2, 4), (8, 3)]),
+                         label="tile")
+        extents = [max(1, extent + max(0, *[tap[a] for tap in taps])
+                       + margin[a])
+                   for a, extent in enumerate((channels, width, height))]
+        frame = np.random.default_rng(len(taps)).integers(
+            0, 256, size=extents[::-1], dtype=np.uint8)
+        func = _interleaved_stencil(taps)
+        if tile is not None:
+            func.tile(*tile)
+        shape = (channels, width, height)
+        buffers = {"input_1": frame}
+        params = {f"param_w{k}": w for k, w in enumerate(weights)}
+        with np.errstate(all="ignore"):
+            try:
+                oracle = realize_interp(func, shape, buffers, params)
+            except IndexError:
+                oracle = None
+        before = native_stats()
+        if oracle is None:
+            with pytest.raises(RealizationError, match="out of bounds"):
+                realize(func, shape, buffers, params, engine="native")
+        else:
+            np.testing.assert_array_equal(
+                realize(func, shape, buffers, params, engine="native"),
+                oracle)
+        assert native_stats()["degraded"] == before["degraded"]
+
+    def test_in_place_vectorize_change_reaches_the_c(self):
+        """``realize`` keys a Func's nest on its vectorize width, so an
+        in-place ``vectorize`` change emits a new program."""
+        func = _stencil("blur", "input_1", [(0, 1), (1, 1), (2, 1)])
+        frame = _frame(63, shape=(HEIGHT + 2, WIDTH + 2))
+        oracle = realize_interp(func, (WIDTH, HEIGHT), {"input_1": frame})
+        sources = []
+        program = native_mod.generate_nest
+
+        def capture(stmt, table, kinds=None):
+            out = program(stmt, table, kinds)
+            sources.append(out.source)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native_mod, "generate_nest", capture)
+            for width in (True, 4, False):
+                func.vectorize(width)
+                np.testing.assert_array_equal(realize(
+                    func, (WIDTH, HEIGHT), {"input_1": frame},
+                    engine="native"), oracle)
+        assert len(sources) == 3
+        assert "#pragma omp simd\n" in sources[0]
+        assert "#pragma omp simd simdlen(4)\n" in sources[1]
+        assert "#pragma omp simd" not in sources[2]
+
+    def test_early_exit_bodies_stay_native(self):
+        """A table lookup's per-load check and an integer division's zero
+        check return from inside the loop: those loops carry no ``omp
+        simd`` (gcc rejects it there, which would degrade every frame)."""
+        from repro.rejuvenation import (
+            apply_lifted_photoshop, lift_photoshop_filter, photoshop_reference)
+        from repro.apps.images import make_test_planes
+
+        planes = make_test_planes(40, 28, seed=12)
+        lifted = lift_photoshop_filter("brightness")
+        x, y = _vars()
+        divide = Func("q", [x, y], dtype=UINT8).define(Cast(UINT8, BinOp(
+            Op.DIV, Cast(INT32, BufferAccess("input_1", [x, y], UINT8)),
+            BinOp(Op.ADD, Cast(INT32, BufferAccess(
+                "input_1", [BinOp(Op.ADD, x, Const(1)), y], UINT8)),
+                Const(1), INT32), INT32)))
+        frame = _frame(59, shape=(HEIGHT, WIDTH + 1))
+        before = native_stats()
+        for _ in range(2):
+            out = apply_lifted_photoshop(lifted, "brightness", planes,
+                                         engine="native")
+            for channel, expected in photoshop_reference(
+                    "brightness", planes).items():
+                np.testing.assert_array_equal(out[channel], expected)
+            np.testing.assert_array_equal(
+                realize(divide, (WIDTH, HEIGHT), {"input_1": frame},
+                        engine="native"),
+                realize_interp(divide, (WIDTH, HEIGHT), {"input_1": frame}))
+        after = native_stats()
+        assert after["degraded"] == before["degraded"]
+        assert after["native_frames"] == before["native_frames"] + 8
+
+
+@needs_cc
+class TestVectorizes:
+    """gcc's own report, at the production flags, on lifted nests."""
+
+    @pytest.fixture(autouse=True)
+    def gcc(self):
+        import subprocess
+
+        cc = toolchain_path()
+        banner = subprocess.run([cc, "--version"], capture_output=True,
+                                text=True).stdout
+        if "Free Software Foundation" not in banner:
+            pytest.skip("the vectorizer report flags are gcc's")
+        self.cc = cc
+
+    def _report(self, tmp_path, filter_name):
+        """The lifted IrfanView filter's C at 480x320 and the source lines
+        gcc reports as vectorized loops."""
+        import re
+        import subprocess
+
+        from repro.rejuvenation import lift_irfanview_filter
+        from repro.rejuvenation.lifted import irfanview_kernel_request
+
+        result = lift_irfanview_filter(filter_name)
+        func = result.funcs[result.kernels[0].output]
+        image = _frame(61, shape=(320, 480, 3))
+        request = irfanview_kernel_request(result, filter_name, image)
+        sources = []
+        program = native_mod.generate_nest
+
+        def capture(stmt, table, kinds=None):
+            out = program(stmt, table, kinds)
+            sources.append(out.source)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native_mod, "generate_nest", capture)
+            reset_native_caches()
+            realize(func, request["shape"], request["buffers"],
+                    engine="native")
+        source, = sources
+        path = tmp_path / f"{filter_name}.c"
+        path.write_text(source)
+        build = subprocess.run(
+            [self.cc, *native_mod.CFLAGS, "-fopt-info-vec-optimized",
+             "-o", str(tmp_path / "out.so"), str(path), "-lm"],
+            capture_output=True, text=True)
+        assert build.returncode == 0, build.stderr
+        vectorized = {int(m.group(1)) for m in re.finditer(
+            rf"{re.escape(path.name)}:(\d+):\d+: optimized: loop vectorized",
+            build.stderr)}
+        return source, vectorized
+
+    def _assert_dense_loop_vectorized(self, tmp_path, filter_name):
+        source, vectorized = self._report(tmp_path, filter_name)
+        first, last = _simd_loops(source)[0]    # the dense version's loop
+        assert any(first <= line <= last for line in vectorized), (
+            f"{filter_name}: no vectorized loop in lines {first}-{last}; "
+            f"gcc reported {sorted(vectorized)}")
+
+    def test_invert_store_loop_vectorizes(self, tmp_path):
+        self._assert_dense_loop_vectorized(tmp_path, "invert")
+
+    def test_blur_store_loop_vectorizes_with_avx512dq(self, tmp_path):
+        # its double -> int64 cast has a vector form only in AVX-512DQ
+        if "-mavx512dq" not in native_mod.host_target(self.cc).split():
+            pytest.skip("the host target lacks avx512dq")
+        self._assert_dense_loop_vectorized(tmp_path, "blur")
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +959,38 @@ class TestCaching:
         assert final["store_hits"] == after["store_hits"] + 1
         assert final["compiles"] == after["compiles"]
 
+    def test_so_digest_covers_flags_and_target(self, tmp_path, monkeypatch):
+        """A library built under other flags, or for another host's ISA,
+        is never loaded: either change misses the store and compiles,
+        while the same target and flags hit it."""
+        from repro.store import STORE_DIR_ENV
+
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        image = _frame(37)
+        oracle = _blur2_pipeline().realize_interp(image)
+        target = native_mod.host_target(toolchain_path())
+        flags = native_mod.CFLAGS
+
+        def build(host, cflags):
+            monkeypatch.setattr(native_mod, "host_target", lambda cc: host)
+            monkeypatch.setattr(native_mod, "CFLAGS", cflags)
+            reset_native_caches()
+            before = native_stats()
+            np.testing.assert_array_equal(
+                _blur2_pipeline().realize(image, engine="native"), oracle)
+            after = native_stats()
+            return (after["compiles"] > before["compiles"],
+                    after["store_hits"] > before["store_hits"])
+
+        miss, hit = (True, False), (False, True)
+        assert build(target, flags) == miss
+        assert build(target, flags) == hit
+        assert build(target + " -mno-avx512f", flags) == miss
+        assert build(target, ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
+                              "-fwrapv")) == miss
+        assert build(target, flags) == hit
+        reset_native_caches()
+
     def test_in_process_so_cache_dedupes_identical_nests(self):
         image = _frame(19)
         first = _blur2_pipeline()
@@ -796,7 +1062,7 @@ class TestVectorizeReporting:
     def test_describe_reports_per_backend_truth(self):
         schedule = Schedule(tile_x=8, tile_y=8, vectorize=True)
         assert "vectorize" in schedule.describe()
-        assert "vectorize(8)" in schedule.describe(backend="native")
+        assert "vectorize(natural)" in schedule.describe(backend="native")
         assert "vectorize(ignored:compiled)" in \
             schedule.describe(backend="compiled")
         assert "vectorize(ignored:interp)" in \
@@ -821,11 +1087,12 @@ class TestVectorizeReporting:
         from repro.halide.autotune import _schedule_key
 
         keys = {_schedule_key(Schedule(vectorize=v))
-                for v in (False, 4, 8, 16)}
-        assert len(keys) == 4
-        # True lowers to the default width: same program, same key
-        assert _schedule_key(Schedule(vectorize=True)) == \
-            _schedule_key(Schedule(vectorize=8))
+                for v in (False, True, 4, 8, 16)}
+        assert len(keys) == 5
+        # True is the natural width, not a lane count: its own program
+        # and key; the spellings of "off" lower to the same program
+        assert _schedule_key(Schedule(vectorize=False)) == \
+            _schedule_key(Schedule(vectorize=1))
 
 
 class TestGoldenNest:

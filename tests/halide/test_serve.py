@@ -401,6 +401,33 @@ class TestDeadlinesAndRetries:
         np.testing.assert_array_equal(output, expected)
         assert server.stats()["deadline_exceeded"] == 0
 
+    def test_met_deadline_leaves_no_reference_cycle(self):
+        """A finished request's futures and output are freed by reference
+        counting, not at the next full collection: the deadline entry that
+        waits in the expiry heap until its time holds none of them."""
+        import gc
+        import time
+        import weakref
+
+        func = blur_func()
+        frame = _frames(1)[0]
+        with PipelineServer(func) as server:
+            gc.disable()
+            try:
+                future = server.submit(shape=(50, 34),
+                                       buffers={"input_1": frame},
+                                       deadline=30.0)
+                output, _ = future.result(timeout=30)
+                freed = weakref.ref(output)
+                del future, output
+                # a worker may still be running the done-callbacks
+                until = time.monotonic() + 5
+                while freed() is not None and time.monotonic() < until:
+                    time.sleep(0.01)
+                assert freed() is None
+            finally:
+                gc.enable()
+
     def test_stuck_request_resolves_at_the_deadline(self):
         """The wrapper future resolves with DeadlineExceeded even while the
         worker is still stuck — result() never hangs."""

@@ -75,6 +75,44 @@ class TestLiftedOnLargerImages:
                                    rtol=1e-12, atol=1e-12)
 
 
+class TestLookupTables:
+    def test_table_is_read_once_and_shared_read_only(self, planes,
+                                                    monkeypatch):
+        """A request reads a lookup-table input from the traced memory once
+        per LiftResult; later requests share the array, read-only."""
+        from repro.core import lift_scenario
+        from repro.rejuvenation.lifted import photoshop_kernel_request
+
+        lifted = lift_scenario("photoshop", "brightness")    # a fresh result
+        memory = lifted.trace_run.memory
+        calls = []
+        read_uint = memory.read_uint
+        monkeypatch.setattr(memory, "read_uint",
+                            lambda *args: calls.append(args) or read_uint(*args))
+        kernel = sorted(lifted.kernels, key=lambda k: k.output)[0]
+        requests = [photoshop_kernel_request(lifted, "brightness", kernel,
+                                             "r", planes)]
+        first_reads = len(calls)
+        assert first_reads > 0
+        for channel in ("r", "g"):
+            requests.append(photoshop_kernel_request(
+                lifted, "brightness", kernel, channel, planes))
+        assert len(calls) == first_reads
+        tables = [name for name in requests[0]["buffers"]
+                  if requests[0]["buffers"][name].ndim == 1]
+        assert tables
+        for name in tables:
+            table = requests[0]["buffers"][name]
+            assert not table.flags.writeable
+            assert all(request["buffers"][name] is table
+                       for request in requests)
+        produced = apply_lifted_photoshop(lifted, "brightness", planes, PARAMS)
+        assert len(calls) == first_reads
+        expected = photoshop_reference("brightness", planes, PARAMS)
+        for channel in ("r", "g", "b"):
+            np.testing.assert_array_equal(produced[channel], expected[channel])
+
+
 class TestLegacyModels:
     @pytest.mark.parametrize("name", ["invert", "blur", "threshold", "box_blur", "brightness"])
     def test_legacy_model_is_semantically_correct(self, planes, name):
