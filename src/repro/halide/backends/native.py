@@ -33,9 +33,10 @@ Compilation is cached at three levels:
   zero compiler invocations, and a store shared across hosts never hands
   out a library built for an ISA this one lacks;
 * a memo on the nest's root statement (its ``cache``), keyed on the
-  dtypes and ranks of the buffers the nest touches, the param kinds and the
-  toolchain, so repeated frames skip even the source generation: one dict
-  lookup per frame.
+  dtypes (the NumPy dtype objects, whose names NumPy computes in Python
+  per access) and ranks of the buffers the nest touches, the param kinds
+  and the toolchain, so repeated frames skip even the source generation:
+  one dict lookup per frame.
 
 Degradation, not failure: no C compiler on PATH, cffi missing, a construct
 :mod:`.cgen` cannot translate, or a (possibly injected — fault site
@@ -369,7 +370,7 @@ class NativeBackend(Backend):
         kinds = tuple(sorted(
             [(name, "float" if isinstance(value, float) else "int")
              for name, value in params.items()]))
-        bound = tuple([(name, buffers[name].dtype.name, buffers[name].ndim)
+        bound = tuple([(name, buffers[name].dtype, buffers[name].ndim)
                        for name in names if name in buffers])
         key = (_GENERATION, bound, kinds, toolchain_path() or "")
         cached = stmt.cache.get(key)
@@ -392,7 +393,7 @@ class NativeBackend(Backend):
             _bump("no_toolchain")
             return None
         try:
-            table = {name: (dtype_from_name(dtype), rank)
+            table = {name: (dtype_from_name(dtype.name), rank)
                      for name, dtype, rank in bound}
         except ValueError as exc:       # a dtype C has no type for (bool...)
             raise CGenError(str(exc)) from None
@@ -538,8 +539,8 @@ class NativeBackend(Backend):
                       buffers: Mapping, state) -> None:
         library = state.bundle.library
         ffi = library.ffi
-        keepalive = []
-        buf_ptrs = []
+        # The buffer views, kept alive until the call returns.
+        views = []
         shapes: list = []
         for name, rank in zip(spec.buffers, spec.ranks):
             array = buffers.get(name)
@@ -550,9 +551,7 @@ class NativeBackend(Backend):
                 raise RealizationError(
                     f"buffer {name!r} is rank {array.ndim}, segment "
                     f"expects {rank}")
-            view = ffi.from_buffer(array)
-            keepalive.append(view)
-            buf_ptrs.append(ffi.cast("void *", view))
+            views.append(ffi.from_buffer(array))
             shapes.extend(array.shape)
         env_vals = []
         for name in spec.env_vars:
@@ -567,7 +566,7 @@ class NativeBackend(Backend):
                    for name, default in spec.int_params]
         fparams = [float(params.get(name, default))
                    for name, default in spec.float_params]
-        bufs_arg = ffi.new("void *[]", buf_ptrs) if buf_ptrs else ffi.NULL
+        bufs_arg = ffi.new("void *[]", views) if views else ffi.NULL
         shapes_arg = ffi.new("int64_t[]", shapes) if shapes else ffi.NULL
         env_arg = ffi.new("int64_t[]", env_vals) if env_vals else ffi.NULL
         ip_arg = ffi.new("int64_t[]", iparams) if iparams else ffi.NULL
@@ -576,7 +575,7 @@ class NativeBackend(Backend):
         rc = getattr(library.lib, spec.name)(
             bufs_arg, shapes_arg, env_arg, ip_arg, fp_arg)
         _bump("segment_calls")
-        del keepalive
+        del views
         if rc != 0:
             raise RealizationError(
                 _RC_MESSAGES.get(rc, f"native segment failed (rc {rc})"))

@@ -48,6 +48,10 @@ _pool_lock = threading.Lock()
 
 _stats_lock = threading.Lock()
 
+#: Tasks handed to the shared pool that no worker has started yet.
+_pending = 0
+_pending_lock = threading.Lock()
+
 #: Real execution modes observed at run time (not what schedules *request*):
 #: ``parallel`` / ``serial`` count executions of ``parallel`` loops;
 #: ``tiles_parallel`` / ``tiles_serial`` count the iterations those loops
@@ -159,18 +163,45 @@ def submit_task(fn, *args):
     If the *current* pool itself is dead (shut down under us rather than
     swapped), the watchdog :func:`_revive_pool` installs a replacement —
     bounded to a few attempts so a submit that can never succeed
-    (interpreter shutdown) raises instead of spinning.
+    (interpreter shutdown) raises instead of spinning.  The task counts in
+    :func:`pending_tasks` until a worker starts it.
     """
-    pool = get_pool()
-    for _ in range(4):
-        try:
-            return pool.submit(fn, *args)
-        except RuntimeError:
-            if sys.is_finalizing():
-                raise
-            current = get_pool()
-            pool = current if current is not pool else _revive_pool(pool)
-    return pool.submit(fn, *args)
+    global _pending
+    with _pending_lock:
+        _pending += 1
+    try:
+        pool = get_pool()
+        for _ in range(4):
+            try:
+                return pool.submit(_started, fn, args)
+            except RuntimeError:
+                if sys.is_finalizing():
+                    raise
+                current = get_pool()
+                pool = current if current is not pool else _revive_pool(pool)
+        return pool.submit(_started, fn, args)
+    except BaseException:
+        with _pending_lock:
+            _pending -= 1
+        raise
+
+
+def _started(fn, args):
+    global _pending
+    with _pending_lock:
+        _pending -= 1
+    return fn(*args)
+
+
+def pending_tasks() -> int:
+    """How many tasks wait in the shared pool's queue for a worker.
+
+    A long-running task that loops over work of its own (a
+    :class:`~repro.halide.serve.PipelineServer` drain) reads this to hand
+    its worker back to them.  A task whose future is cancelled before it
+    starts would stay counted, so no caller of :func:`submit_task` cancels.
+    """
+    return _pending
 
 
 def warm_pool() -> None:

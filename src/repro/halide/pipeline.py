@@ -291,8 +291,8 @@ class FuncPipeline:
         """Realize many images through one compiled pipeline, concurrently.
 
         Lowers and compiles the pipeline once (on the first request), and
-        fans the images out across the shared worker pool with bounded
-        queueing; returns a
+        queues the images on one :class:`~repro.halide.serve.PipelineServer`,
+        whose drain tasks run them across the shared worker pool; returns a
         :class:`~repro.halide.serve.BatchResult` whose ``outputs`` are in
         input order.  This is the serving path: per-image results are
         bit-identical to calling :meth:`realize` in a loop.

@@ -2,47 +2,56 @@
 
 The lifted kernels are small relative to the frames they process, so a
 serving workload (many frames/requests through one pipeline) is dominated by
-per-frame NumPy work — exactly the work that releases the GIL.  This module
-provides the throughput layer the ROADMAP asks for:
+per-frame work outside the kernels — dispatch and thread hand-offs — and by
+kernel calls that release the GIL.  This module provides the throughput
+layer the ROADMAP asks for:
 
 * :class:`PipelineServer` wraps one compiled target — a
   :class:`~repro.halide.func.Func` or a
   :class:`~repro.halide.pipeline.FuncPipeline` — compiles its kernels once up
-  front, and fans incoming requests out across the shared worker pool from
-  :mod:`repro.halide.parallel` with **bounded queueing**: ``submit`` blocks
-  once ``max_pending`` requests are in flight, so an overloaded producer
-  cannot grow the queue without bound.
-* :func:`realize_batch` is the one-shot convenience: hand it a target and a
-  list of requests, get every output plus per-request timing stats back.
+  front, and runs requests from its own FIFO queue: at most
+  ``min(pool_size(), max_pending)`` *drain* tasks on the shared worker pool
+  from :mod:`repro.halide.parallel` each take a request, run it, resolve its
+  future and take the next until the queue is empty, so a burst of requests
+  costs a few pool hand-offs rather than one or more per request.  Admission
+  is **bounded**: ``submit`` blocks once ``max_pending`` of its requests are
+  in flight, so an overloaded producer cannot grow the queue without bound.
+* :meth:`PipelineServer.realize_batch` queues a whole batch at once (the
+  caller already holds every request and will hold every output);
+  :func:`realize_batch` is the one-shot convenience around it.
 
 Requests running inside pool workers realize their tiles serially (the pool
 never feeds itself; see :func:`repro.halide.parallel.in_worker`), so batch
 parallelism and tile parallelism compose without deadlock: one frame at a
 time uses tile-parallel kernels, many frames at a time parallelize across
-requests instead.
+requests instead.  A drain hands its worker back whenever other pool work is
+waiting, so another caller's tiles never wait behind a whole batch.
 
 Resilience (see ``docs/reliability.md``): ``submit(..., deadline=, retries=)``
 enforces a per-request wall-clock budget — the future resolves with
-:class:`~repro.reliability.policy.DeadlineExceeded` instead of hanging — and
-retries transient failures with bounded backoff.  Because the interpreter
-oracle is bit-identical to the compiled engine, a compiled failure *degrades*
-rather than fails: the request re-runs on the interp backend, ``stats()``
-counts it under ``degraded``, and after ``breaker_threshold`` consecutive
-compiled failures a circuit breaker routes requests straight to the slow
-path until a recovery probe succeeds.
+:class:`~repro.reliability.policy.DeadlineExceeded` instead of hanging, and a
+request that expires while still queued never runs — and retries transient
+failures with bounded backoff.  Because the interpreter oracle is
+bit-identical to the compiled engine, a compiled failure *degrades* rather
+than fails: the request re-runs on the interp backend, ``stats()`` counts it
+under ``degraded``, and after ``breaker_threshold`` consecutive compiled
+failures a circuit breaker routes requests straight to the slow path until a
+recovery probe succeeds.
 """
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import TimeoutError as WaitTimeout
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-
-from concurrent.futures import Future, InvalidStateError
 
 from ..reliability.faults import fault_point
 from ..reliability.policy import (
@@ -57,7 +66,8 @@ from ..reliability.policy import (
 )
 from .compile import compile_func
 from .func import Func
-from .parallel import in_worker, parallel_enabled, pool_size, submit_task
+from .parallel import (in_worker, parallel_enabled, pending_tasks,
+                       pool_size, submit_task)
 from .pipeline import FuncPipeline
 from .realize import get_default_engine, realize
 
@@ -100,29 +110,33 @@ class BatchResult:
 class _ExpiryScheduler:
     """One daemon thread firing deadline expiries for every server.
 
-    ``schedule(expires_at, callback)`` pushes onto a heap and wakes the
-    sentinel; the sentinel sleeps until the earliest expiry, fires its
-    callback, and parks again.  Cancellation just flags the entry — stale
-    heap items are skipped when popped, so cancel is O(1) and requests that
-    finish in time (the overwhelmingly common case) pay one heap push plus
-    one notify.  A ``threading.Timer`` per request would instead spawn and
-    join a thread per submit, dominating the cost of the deadline feature.
+    ``schedule(expires_at, callback)`` files the callback under a fresh
+    number, pushes ``(expires_at, number)`` onto a heap and returns the
+    number; the sentinel sleeps until the earliest expiry and fires the
+    callback still filed under it.  ``cancel(number)`` unfiles the callback:
+    O(1), and whichever of the two takes it out of the file first wins, so
+    a callback fires at most once.  A request that finishes in time (the
+    overwhelmingly common case) pays one heap push and, at most, one notify,
+    and leaves behind only a tuple of two numbers, which the garbage
+    collector does not track — no container outlives the request by its
+    budget to be promoted into the oldest generation.  A
+    ``threading.Timer`` per request would instead spawn and join a thread
+    per submit, dominating the cost of the deadline feature.
     """
-
-    _EXPIRES_AT, _CALLBACK, _CANCELLED = 0, 1, 2
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._heap: list = []
+        self._callbacks: dict = {}
         self._seq = 0
         self._thread: threading.Thread | None = None
         self._wake_at: float | None = None
 
-    def schedule(self, expires_at: float, callback) -> list:
-        entry = [expires_at, callback, False]
+    def schedule(self, expires_at: float, callback) -> int:
         with self._cond:
             self._seq += 1
-            heapq.heappush(self._heap, (expires_at, self._seq, entry))
+            self._callbacks[self._seq] = callback
+            heapq.heappush(self._heap, (expires_at, self._seq))
             if self._thread is None or not self._thread.is_alive():
                 self._thread = threading.Thread(
                     target=self._run, daemon=True,
@@ -133,32 +147,32 @@ class _ExpiryScheduler:
             # same-budget requests) schedules with zero context switches.
             if self._wake_at is None or expires_at < self._wake_at:
                 self._cond.notify()
-        return entry
+            return self._seq
 
-    @classmethod
-    def cancel(cls, entry: list) -> None:
-        # Drop the callback too: the entry stays in the heap until its
-        # expiry, and a callback that reaches the request's futures (whose
-        # done-callbacks reach the entry) would make a reference cycle
-        # keeping every output alive until a full collection.
-        entry[cls._CANCELLED] = True
-        entry[cls._CALLBACK] = None
+    def cancel(self, number: int) -> None:
+        self._callbacks.pop(number, None)
 
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._heap:
+                # Cancelled expiries never fire: drop them from the top
+                # without waiting for their time, so a request that finished
+                # within its budget costs the sentinel no wake-up of its own.
+                while self._heap and self._heap[0][1] not in self._callbacks:
+                    heapq.heappop(self._heap)
+                if not self._heap:
                     self._wake_at = None
                     self._cond.wait()
-                expires_at = self._heap[0][0]
+                    continue
+                expires_at, number = self._heap[0]
                 wait = expires_at - time.monotonic()
                 if wait > 0:
                     self._wake_at = expires_at
                     self._cond.wait(wait)
                     continue
-                _, _, entry = heapq.heappop(self._heap)
-            callback = entry[self._CALLBACK]
-            if entry[self._CANCELLED] or callback is None:
+                heapq.heappop(self._heap)
+            callback = self._callbacks.pop(number, None)
+            if callback is None:
                 continue
             try:
                 callback()
@@ -169,24 +183,54 @@ class _ExpiryScheduler:
 _EXPIRIES = _ExpiryScheduler()
 
 
+class _Request:
+    """One queued request and the caller-visible future it resolves.
+
+    ``deadline`` is a started :class:`~repro.reliability.policy.Deadline`
+    (``submit``), a batch request's budget in seconds (started when a drain
+    takes it, or earlier by :meth:`PipelineServer._wait`) or ``None``.  It
+    runs in ``context``, its submitter's.
+    ``taken`` is set, under the server lock, by whichever comes first: a
+    drain taking the request or its expiry.
+    """
+
+    __slots__ = ("task", "retry", "deadline", "slot", "future", "context",
+                 "expiry", "taken")
+
+    def __init__(self, task, retry, deadline, slot: bool) -> None:
+        self.task = task
+        self.retry = retry
+        self.deadline = deadline
+        self.slot = slot                  # holds one of submit's max_pending
+        self.future: Future = Future()
+        self.context = contextvars.copy_context()
+        self.expiry = None                # its number in _EXPIRIES, once armed
+        self.taken = False
+
+
 class PipelineServer:
     """Serve many realization requests for one Func or FuncPipeline.
 
     Compiles the target's kernels exactly once at construction (so no request
-    ever pays codegen), then executes each submitted request on the shared
-    worker pool.  Each future resolves to an ``(output, seconds)`` pair —
-    the realized array plus that request's busy time.  Use as a context
-    manager, or call :meth:`close` when done::
+    ever pays codegen), then runs requests from the server's own FIFO queue
+    on the shared worker pool.  Each future resolves to an ``(output,
+    seconds)`` pair — the realized array plus that request's busy time.  Use
+    as a context manager, or call :meth:`close` when done::
 
         with PipelineServer(pipeline.fused(), max_pending=8) as server:
             futures = [server.submit(image=frame) for frame in frames]
             results = [f.result()[0] for f in futures]
             print(server.stats())
 
-    ``max_pending`` bounds the number of requests admitted but not yet
-    finished; further ``submit`` calls block until a slot frees.  It defaults
-    to twice the pool size — enough to keep every worker busy while the
-    producer prepares the next frame, small enough to bound memory.
+    At most ``min(pool_size(), max_pending)`` drain tasks run the queue; a
+    drain decides to exit under the lock that queueing takes, so a request
+    queued as the last drain exits starts a new one.  ``max_pending`` bounds
+    the number of :meth:`submit` requests admitted but not yet finished;
+    further ``submit`` calls block until a slot frees.  It defaults to twice
+    the pool size — enough to keep every worker busy while the producer
+    prepares the next frame, small enough to bound memory.
+    :meth:`realize_batch` takes no slots: its caller already holds every
+    request.
     """
 
     def __init__(self, target: Func | FuncPipeline, *,
@@ -211,6 +255,11 @@ class PipelineServer:
         self._closed = False
         self._inflight = 0
         self._idle = threading.Condition(self._lock)
+        self._queue: deque = deque()
+        #: Drain tasks alive (queued on the pool or running), and how many of
+        #: them the pool has not started yet.
+        self._drains = 0
+        self._starting = 0
         self._stats = {"submitted": 0, "completed": 0, "failed": 0,
                        "busy_seconds": 0.0, "retries": 0, "degraded": 0,
                        "deadline_exceeded": 0}
@@ -294,10 +343,11 @@ class PipelineServer:
         when ``close`` ran raises instead of slipping a request into a
         closed server (the race the unguarded flag allowed).
 
-        ``close(wait=True)`` additionally blocks until every in-flight
-        request has finished, so resources the requests use can be torn
-        down safely afterwards.  Do not call it from inside a request (it
-        would wait on itself).
+        ``close(wait=True)`` additionally blocks until every request it
+        admitted has finished — queued and running alike, batch requests
+        included — so resources the requests use can be torn down safely
+        afterwards.  Do not call it from inside a request (it would wait on
+        itself).
         """
         with self._lock:
             self._closed = True
@@ -324,12 +374,14 @@ class PipelineServer:
         For a :class:`FuncPipeline` target pass ``image`` (and optionally
         ``params``); for a :class:`Func` target pass ``shape`` and
         ``buffers`` (and optionally ``params``).  Blocks while ``max_pending``
-        requests are already in flight (bounded queueing).
+        requests are already in flight (bounded queueing), then puts the
+        request on the server's queue.
 
         ``deadline`` (seconds, or a :class:`~repro.reliability.policy.Deadline`)
         starts *now*, so it covers queue wait too; when it expires the future
         resolves with :class:`~repro.reliability.policy.DeadlineExceeded` even
-        if the underlying work is stuck.  ``retries`` (a count or a
+        if the underlying work is stuck, and a request still queued then
+        never runs (its slot frees at expiry).  ``retries`` (a count or a
         :class:`~repro.reliability.policy.RetryPolicy`) re-runs transient
         failures with bounded backoff before the degradation ladder engages.
 
@@ -350,31 +402,15 @@ class PipelineServer:
                                params=params)
         if in_worker() or not parallel_enabled():
             return self._run_inline(task, deadline, retries)
+        request = _Request(task, retries, deadline, slot=True)
         self._slots.acquire()
-        with self._lock:
-            # Re-check after the (possibly long) slot wait: a submit blocked
-            # on admission must not slip past a concurrent close().
-            if self._closed:
-                self._slots.release()
-                raise RuntimeError("PipelineServer is closed")
-            self._stats["submitted"] += 1
-            self._inflight += 1
-        # Any failure to hand the task to the pool — including
-        # KeyboardInterrupt — must give back the slot and the inflight
-        # count; the finally-based unwind does that without a blanket
-        # ``except BaseException`` swallowing the distinction.
-        submitted = False
         try:
-            future = submit_task(self._run_request, task, deadline, retries)
-            submitted = True
-        finally:
-            if not submitted:
-                self._finish_one()
-                self._slots.release()
-        future.add_done_callback(self._on_done)
-        if deadline is None:
-            return future
-        return self._with_deadline(future, deadline)
+            starts = self._enqueue([request])
+        except BaseException:   # closed while this waited, or interrupted
+            self._slots.release()
+            raise
+        self._start_drains(starts)
+        return request.future
 
     def realize_batch(self, requests: Sequence, *,
                       deadline: "Deadline | float | None" = None,
@@ -384,8 +420,16 @@ class PipelineServer:
 
         Each request is a mapping of :meth:`submit` keyword arguments (for a
         pipeline target, a bare array is also accepted as shorthand for
-        ``{"image": array}``).  ``deadline`` is a *per-request* budget
-        (seconds), started at that request's submission.
+        ``{"image": array}``).  The whole batch goes on the server's queue at
+        once and takes no ``max_pending`` slots; the call then waits on the
+        requests in order.  ``deadline`` is a *per-request* budget (seconds)
+        that starts when a drain takes the request, so every frame gets the
+        same budget however long the batch is; a budget that is not positive
+        raises :class:`ValueError` before anything is queued.  If the call
+        waits a whole budget on a request no drain has taken (every drain
+        stuck, or the pool busy elsewhere), the budgets of the requests
+        still queued start then, so a stuck batch raises
+        :class:`~repro.reliability.policy.BatchError` instead of hanging.
 
         Every request is collected before the batch reports: a raising
         request records its error in ``BatchResult.errors`` (its output slot
@@ -395,40 +439,51 @@ class PipelineServer:
         carrying the full :class:`BatchResult` as ``error.result``.
         """
         wall_start = time.perf_counter()
-        # A Deadline instance is a fixed expiry; per-request budgets restart
-        # at each submission, so carry the raw seconds through submit().
+        # A Deadline instance is a fixed expiry; per-request budgets start
+        # when each request is taken, so carry the raw seconds.
         budget = deadline.seconds if isinstance(deadline, Deadline) \
             else deadline
-        futures: list = []
-        submit_errors: list = []
+        if budget is not None:
+            Deadline(budget)            # rejects a budget that is not positive
+        if isinstance(retries, int):
+            retries = RetryPolicy(retries=retries)
+        inline = in_worker() or not parallel_enabled()
+        futures: list = []              # (future, its queued request or None)
+        queued: list = []
         for request in requests:
             if isinstance(request, np.ndarray):
                 request = {"image": request}
             try:
-                futures.append(self.submit(**request, deadline=budget,
-                                           retries=retries))
-                submit_errors.append(None)
-            except (KeyboardInterrupt, SystemExit):
-                raise
+                task = self._make_task(**request)
+                if inline:
+                    futures.append((self._run_inline(
+                        task, Deadline.coerce(budget), retries), None))
+                else:
+                    queued.append(_Request(task, retries, budget, slot=False))
+                    futures.append((queued[-1].future, queued[-1]))
             except Exception as exc:
-                futures.append(None)
-                submit_errors.append(exc)
-        result = BatchResult()
-        for future, submit_error in zip(futures, submit_errors):
-            if future is None:
-                result.outputs.append(None)
-                result.request_seconds.append(0.0)
-                result.errors.append(submit_error)
-                continue
+                future = Future()
+                future.set_exception(exc)
+                futures.append((future, None))
+        if queued:
             try:
-                output, seconds = future.result()
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
+                starts = self._enqueue(queued)
+            except RuntimeError as exc:             # the server is closed
+                for request in queued:
+                    request.future.set_exception(exc)
+            else:
+                self._start_drains(starts)
+        result = BatchResult()
+        for future, request in futures:
+            error = self._wait(future, request, queued)
+            if isinstance(error, (KeyboardInterrupt, SystemExit)):
+                raise error
+            if error is not None:
                 result.outputs.append(None)
                 result.request_seconds.append(0.0)
-                result.errors.append(exc)
+                result.errors.append(error)
             else:
+                output, seconds = future.result()
                 result.outputs.append(output)
                 result.request_seconds.append(seconds)
                 result.errors.append(None)
@@ -440,6 +495,35 @@ class PipelineServer:
                 f"failed; first error: {type(first).__name__}: {first}",
                 result=result)
         return result
+
+    def _wait(self, future: Future, request, batch: list):
+        """Wait for one batch request; returns its exception or ``None``.
+
+        ``exception()`` does not raise: a failure re-raised here would carry
+        :meth:`realize_batch`'s frame, and through its result every output
+        of the batch, in its traceback — a cycle only a full collection
+        frees.  If no drain has taken a request with a budget after a whole
+        budget of waiting, every drain is stuck or the pool is busy
+        elsewhere: the budgets of the batch's requests still queued start
+        now, so each runs or expires within one more budget instead of
+        waiting for a drain forever.  A taken request resolves by its own
+        deadline.
+        """
+        budget = request.deadline if request is not None else None
+        if budget is None or isinstance(budget, Deadline):
+            return future.exception()
+        try:
+            return future.exception(timeout=budget)
+        except WaitTimeout:
+            pass
+        with self._lock:
+            if not request.taken:
+                for queued in batch:
+                    if not queued.taken and \
+                            not isinstance(queued.deadline, Deadline):
+                        queued.deadline = Deadline(queued.deadline)
+                        self._arm(queued, queued.deadline)
+        return future.exception()
 
     def stats(self) -> dict:
         """A snapshot of serving counters.
@@ -466,7 +550,8 @@ class PipelineServer:
 
     # -- internals -----------------------------------------------------------
 
-    def _make_task(self, *, image, shape, buffers, params):
+    def _make_task(self, *, image=None, shape=None, buffers=None,
+                   params=None):
         """One request as ``task(engine=None)``.
 
         ``engine`` overrides the server's engine for that one execution —
@@ -502,14 +587,12 @@ class PipelineServer:
             # deadline_exceeded is counted where the caller-visible future
             # resolves (_resolve / _run_inline), never here — the timer and
             # the in-task check may both observe the same expiry.
-            with self._lock:
-                self._stats["failed"] += 1
+            self._count("failed", 1)
             raise
         seconds = time.perf_counter() - start
         if isinstance(result, DegradedResult):
             output = result.value
-            with self._lock:
-                self._stats["degraded"] += 1
+            self._count("degraded", 1)
         else:
             output = result
         with self._lock:
@@ -552,8 +635,7 @@ class PipelineServer:
                 kind = classify_failure(exc)
                 if kind == TRANSIENT and attempt < retries:
                     attempt += 1
-                    with self._lock:
-                        self._stats["retries"] += 1
+                    self._count("retries", 1)
                     wait = retry.delay(attempt)
                     if deadline is not None and wait >= deadline.remaining():
                         raise DeadlineExceeded(
@@ -603,58 +685,144 @@ class PipelineServer:
         if rule is not None and rule.latency > 0:
             time.sleep(min(rule.latency, deadline.remaining()))
 
-    def _with_deadline(self, inner: Future, deadline: Deadline) -> Future:
-        """Wrap a pool future so it *resolves* at the deadline, no matter what.
+    def _enqueue(self, requests: list) -> int:
+        """Queue admitted requests; returns how many drains to start.
 
-        The wrapper mirrors the inner future's outcome; if the deadline
-        fires first, the inner future is cancelled when still queued and the
-        wrapper resolves with :class:`DeadlineExceeded` even when the worker
-        is stuck — the caller never hangs on ``result()``.  Expiries are
-        scheduled on one shared sentinel thread (:class:`_ExpiryScheduler`)
-        rather than a ``threading.Timer`` each — a per-request thread spawn
-        would be most of the deadline feature's cost.
+        Raises :class:`RuntimeError` when the server is closed.  The drains
+        returned are already counted: hand them to :meth:`_start_drains`.
+        A submitted request's expiry is armed under the lock, so it cannot
+        fire before the request counts as in flight.
         """
-        wrapper: Future = Future()
-        entry = _EXPIRIES.schedule(
-            deadline.expires_at,
-            lambda: self._expire(wrapper, inner, deadline))
+        limit = min(pool_size(), self.max_pending)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("PipelineServer is closed")
+            for request in requests:
+                if isinstance(request.deadline, Deadline):
+                    self._arm(request, request.deadline)
+            self._queue.extend(requests)
+            self._stats["submitted"] += len(requests)
+            self._inflight += len(requests)
+            starts = max(0, min(limit - self._drains, len(self._queue)))
+            self._drains += starts
+            self._starting += starts
+        return starts
 
-        def chain(done: Future) -> None:
-            _ExpiryScheduler.cancel(entry)
-            if done.cancelled():
-                self._resolve(wrapper, exception=DeadlineExceeded(
-                    f"request cancelled at its {deadline.seconds:.3f}s "
-                    f"deadline"))
+    def _start_drains(self, count: int) -> None:
+        """Hand ``count`` drains, already counted, to the shared pool.
+
+        When the pool refuses one (interpreter shutdown), the drains not
+        started are uncounted, and if none is left to serve the queue its
+        requests fail with that error instead of waiting forever.
+        """
+        for started in range(count):
+            try:
+                submit_task(self._drain)
+            except BaseException as exc:
+                with self._lock:
+                    self._drains -= count - started
+                    self._starting -= count - started
+                    orphans = []
+                    if not self._drains:        # else live drains serve it
+                        orphans = [r for r in self._queue if not r.taken]
+                        self._queue.clear()
+                    for request in orphans:
+                        request.taken = True
+                    self._stats["failed"] += len(orphans)
+                for request in orphans:
+                    self._resolve(request.future, exception=exc)
+                    self._retire(request)
+                if not isinstance(exc, Exception):
+                    raise
                 return
-            error = done.exception()
-            if error is not None:
-                self._resolve(wrapper, exception=error)
-            else:
-                self._resolve(wrapper, result=done.result())
 
-        inner.add_done_callback(chain)
-        return wrapper
+    def _drain(self) -> None:
+        """One pool task: run queued requests until the queue is empty."""
+        with self._lock:
+            self._starting -= 1
+        while True:
+            with self._lock:
+                # Exit is decided under the lock _enqueue counts drains
+                # under: a request queued after this check starts a drain.
+                while self._queue:
+                    request = self._queue.popleft()
+                    if not request.taken:        # else it expired queued
+                        request.taken = True
+                        break
+                else:
+                    self._drains -= 1
+                    return
+            request.context.run(self._run_queued, request)
+            request = None              # a finished request is freed now
+            if self._queue and pending_tasks() > self._starting:
+                # Other pool work is waiting (another caller's tiles, another
+                # server's drains): queue behind it and free this worker.
+                with self._lock:
+                    self._starting += 1
+                self._start_drains(1)
+                return
 
-    def _expire(self, wrapper: Future, inner: Future,
-                deadline: Deadline) -> None:
-        inner.cancel()               # a still-queued request never runs
-        self._resolve(wrapper, exception=DeadlineExceeded(
+    def _run_queued(self, request: _Request) -> None:
+        """Run one taken request and resolve its future (in its context)."""
+        try:
+            deadline = request.deadline
+            if deadline is not None and not isinstance(deadline, Deadline):
+                deadline = Deadline(deadline)  # a batch request: admitted now
+                self._arm(request, deadline)
+            result = self._run_request(request.task, deadline, request.retry)
+        except BaseException as exc:   # the caller's to see, as a pool future's
+            self._resolve(request.future, exception=exc)
+        else:
+            self._resolve(request.future, result=result)
+        self._retire(request)
+        # A failure's traceback holds this frame, and the request reaches the
+        # failure through its future: drop the reference, or that cycle keeps
+        # the request alive until a full collection.
+        request = None
+
+    def _arm(self, request: _Request, deadline: Deadline) -> None:
+        """Schedule the request's expiry on the shared sentinel."""
+        request.expiry = _EXPIRIES.schedule(
+            deadline.expires_at, lambda: self._expire(request, deadline))
+
+    def _expire(self, request: _Request, deadline: Deadline) -> None:
+        """The deadline fired: resolve the future, stuck worker or not.
+
+        A request no drain has taken yet is claimed here, so it never runs:
+        it counts as failed and gives back its slot now.
+        """
+        with self._lock:
+            queued = not request.taken
+            request.taken = True
+            if queued:
+                self._stats["failed"] += 1
+        self._resolve(request.future, exception=DeadlineExceeded(
             f"request exceeded its {deadline.seconds:.3f}s deadline"))
+        if queued:
+            self._retire(request)
 
-    def _resolve(self, future: Future, *, result=None,
-                 exception=None) -> bool:
-        """First writer wins; late resolutions are dropped silently."""
+    def _resolve(self, future: Future, *, result=None, exception=None) -> None:
+        """First writer wins; late resolutions are dropped silently.
+
+        A deadline miss counts before the future resolves, so ``stats()``
+        read right after ``result()`` is never behind; a losing writer takes
+        its count back.
+        """
+        missed = isinstance(exception, DeadlineExceeded)
+        if missed:
+            self._count("deadline_exceeded", 1)
         try:
             if exception is not None:
                 future.set_exception(exception)
             else:
                 future.set_result(result)
         except InvalidStateError:
-            return False
-        if isinstance(exception, DeadlineExceeded):
-            with self._lock:
-                self._stats["deadline_exceeded"] += 1
-        return True
+            if missed:
+                self._count("deadline_exceeded", -1)
+
+    def _count(self, key: str, amount: int) -> None:
+        with self._lock:
+            self._stats[key] += amount
 
     def _run_inline(self, task, deadline=None, retry=None) -> Future:
         """Execute immediately on the calling (worker) thread.
@@ -691,12 +859,12 @@ class PipelineServer:
             if self._inflight == 0:
                 self._idle.notify_all()
 
-    def _on_done(self, future) -> None:
-        self._slots.release()
-        if future.cancelled():
-            # A cancelled request never ran _run_request, so count it here.
-            with self._lock:
-                self._stats["failed"] += 1
+    def _retire(self, request: _Request) -> None:
+        """A queued request is done: cancel its expiry, free its slot."""
+        if request.expiry is not None:
+            _EXPIRIES.cancel(request.expiry)
+        if request.slot:
+            self._slots.release()
         self._finish_one()
 
 
@@ -707,11 +875,13 @@ def realize_batch(target: Func | FuncPipeline, requests: Sequence, *,
                   retries: "RetryPolicy | int | None" = None) -> BatchResult:
     """Compile ``target`` once and realize every request across the pool.
 
-    The one-shot form of :class:`PipelineServer` — see its docs for the
-    request format.  Returns a :class:`BatchResult` with outputs in request
-    order, per-request busy times and the batch's sustained frames/sec.
-    ``deadline`` (per-request seconds) and ``retries`` engage the resilience
-    ladder documented on :meth:`PipelineServer.submit`.
+    The one-shot form of :meth:`PipelineServer.realize_batch` — see its docs
+    for the request format and when a request's budget starts.  Returns a
+    :class:`BatchResult` with outputs in request order, per-request busy
+    times and the batch's sustained frames/sec.  ``deadline`` (per-request
+    seconds) and ``retries`` engage the resilience ladder documented on
+    :meth:`PipelineServer.submit`; ``max_pending`` also caps the server's
+    drain tasks.
     """
     with PipelineServer(target, max_pending=max_pending,
                         engine=engine) as server:

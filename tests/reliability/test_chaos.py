@@ -83,15 +83,26 @@ def _oracles(func, frames) -> list:
             for frame in frames]
 
 
-@pytest.fixture(autouse=True, scope="module")
-def chaos_pool():
-    """A real multi-worker pool and a tiny fan-out threshold for small frames."""
+@pytest.fixture(autouse=True, scope="module", params=[3, 1],
+                ids=["pool3", "pool1"])
+def chaos_pool(request):
+    """The suite on a real multi-worker pool, where tiles fan out, and on one
+    worker, where a server runs one drain and a stuck or lost drain would
+    show; a tiny fan-out threshold for small frames.  Yields the size."""
     old_elems = parallel_mod.MIN_PARALLEL_ELEMS
     parallel_mod.MIN_PARALLEL_ELEMS = 1
-    configure_pool(3)
-    yield
+    configure_pool(request.param)
+    yield request.param
     parallel_mod.MIN_PARALLEL_ELEMS = old_elems
     configure_pool()
+
+
+def needs_fan_out(workers: int) -> None:
+    """Skip a fan-out scenario on one worker: tiles then run serially, and
+    ``pool.die`` and a native tile fault fire only before or inside a
+    fan-out."""
+    if workers < 2:
+        pytest.skip("one worker: tiles never fan out")
 
 
 def assert_contract(batch, oracles) -> None:
@@ -156,10 +167,12 @@ class TestTargetedScenarios:
         assert execution_stats["tile_retries"] >= 1
 
     @pytest.mark.parametrize("engine", ["compiled", "native"])
-    def test_lowered_pipeline_tile_fault_is_retried(self, engine):
+    def test_lowered_pipeline_tile_fault_is_retried(self, engine, chaos_pool):
         # The shared executor retries a failed iteration of a parallel tile
         # loop; native runs its fan-out through the same retry (and without
         # a C toolchain degrades to the compiled executor).
+        if engine == "native":
+            needs_fan_out(chaos_pool)   # serial, the loop is one C call
         frame = _frames(1)[0][:HEIGHT, :WIDTH]
         oracle = FuncPipeline().add(blur_func(), pad=1).realize_interp(frame)
         pipeline = FuncPipeline().add(tiled_blur().compute_root(), pad=1)
@@ -194,7 +207,8 @@ class TestTargetedScenarios:
         assert batch.failed == 0
         assert server.stats()["degraded"] == len(frames)
 
-    def test_pool_death_is_revived(self):
+    def test_pool_death_is_revived(self, chaos_pool):
+        needs_fan_out(chaos_pool)
         reset_execution_stats()
         func = tiled_blur()
         frame = _frames(1)[0]
