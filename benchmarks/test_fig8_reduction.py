@@ -10,7 +10,11 @@ same backend and are bit-identical to the interpreter oracle; only the
 update phase differs.
 
 Records ``fig8_reduction/serial``, ``fig8_reduction/parallel`` and
-``fig8_reduction/serving`` in BENCH_results.json.  The >=1.5x
+``fig8_reduction/serving`` in BENCH_results.json, plus
+``fig8_reduction/native``: the serial pipeline on the default engine, whose
+frames run the reduce loop as native C (its loads checked at the loop
+box's corners, its data-dependent bin per element) wherever a C toolchain
+exists.  The >=1.5x
 parallel-vs-serial assertion is gated on an effective pool of >= 4 workers
 (smaller hosts still record the trajectory), matching the other fig8
 parallel benchmarks.
@@ -34,6 +38,7 @@ from repro.halide import (
     pool_size,
 )
 from repro.halide.parallel import parallel_enabled
+from repro.halide.realize import get_default_engine
 from repro.ir import (
     BinOp, BufferAccess, Cast, Const, Op, ReduceLoop, UINT8, UINT32,
     Var as IRVar,
@@ -99,6 +104,11 @@ def test_fig8_reduction_parallel_vs_serial(bench_planes_large):
         lambda: serial.realize(frame, engine="compiled"), 3)
     parallel_time = time_callable(
         lambda: parallel.realize(frame, engine="compiled"), 3)
+    # The default engine builds a nest's C from its second frame.
+    for _ in range(2):
+        serial.realize(frame)
+    native_time = time_callable(lambda: serial.realize(frame), 3)
+    np.testing.assert_array_equal(serial.realize(frame), oracle)
     speedup = serial_time / parallel_time
     cores = os.cpu_count() or 1
     strips = -(-LARGE_HEIGHT // STRIP_ROWS)
@@ -109,13 +119,19 @@ def test_fig8_reduction_parallel_vs_serial(bench_planes_large):
                 [["whole-domain serial sweep", f"{serial_time * 1000:.1f}",
                   "1.00x"],
                  [f"two-phase ({strips} strips x {STRIP_ROWS} rows)",
-                  f"{parallel_time * 1000:.1f}", f"{speedup:.2f}x"]])
+                  f"{parallel_time * 1000:.1f}", f"{speedup:.2f}x"],
+                 [f"whole-domain serial sweep, {get_default_engine()}",
+                  f"{native_time * 1000:.1f}",
+                  f"{serial_time / native_time:.2f}x"]])
     record_bench("fig8_reduction/serial", serial_time, engine="compiled",
                  image_size=(LARGE_WIDTH, LARGE_HEIGHT))
     record_bench("fig8_reduction/parallel", parallel_time, engine="compiled",
                  image_size=(LARGE_WIDTH, LARGE_HEIGHT),
                  speedup=round(speedup, 2), strips=strips,
                  strip_rows=STRIP_ROWS, workers=pool_size(), cores=cores)
+    record_bench("fig8_reduction/native", native_time,
+                 engine=get_default_engine(),
+                 image_size=(LARGE_WIDTH, LARGE_HEIGHT))
     # Gate on the *effective* pool, not raw core count: REPRO_NUM_THREADS /
     # REPRO_PARALLEL legitimately force serial execution on multicore hosts.
     if pool_size() >= 4 and parallel_enabled():

@@ -28,6 +28,8 @@ rule here mirrors ``realize._evaluate`` / ``_apply_binop`` exactly —
   code 4, never a read past the end: an index built from loop variables,
   added constants and ``min``/``max`` clamps is checked once per ``Store``
   or ``ReduceLoop`` at the corners of its loop box, any other per load;
+* a reduction scatter index outside its target (where ``np.add.at``
+  raises ``IndexError``) is return code 2, checked the same way;
 * min/max on floats propagate NaN like ``np.minimum``/``np.maximum``;
 * narrowing casts wrap modulo 2**bits with a signed fix, like ``_wrap_cast``.
 
@@ -725,6 +727,37 @@ class _SegmentEmitter:
 
         return found if visit(expr) else None
 
+    def _load_lows(self, exprs) -> Dict[str, None]:
+        """The low corner of every load index in ``exprs`` that the box
+        check covers."""
+        return {span[0]: None for expr in exprs for node in expr.walk()
+                if isinstance(node, BufferAccess)
+                for span in map(self._index_range, node.indices) if span}
+
+    def _simd(self, header: int, width: int) -> None:
+        """``#pragma omp simd`` (``simdlen(W)`` for an explicit width) on
+        the innermost loop, whose header is line ``header``."""
+        self.lines.insert(header, "    " * (self.depth - 1) + (
+            "#pragma omp simd" if width == NATURAL_VECTOR_WIDTH
+            else f"#pragma omp simd simdlen({width})"))
+
+    def _versions(self, conditions, loops) -> None:
+        """``loops(dense=True)`` where every condition holds at run time,
+        else ``loops(dense=False)``: one ``if``, like Halide's
+        ``specialize``."""
+        if not conditions:
+            loops(dense=True)
+            return
+        self.emit(f"if ({' && '.join(conditions)}) {{")
+        self.depth += 1
+        loops(dense=True)
+        self.depth -= 1
+        self.emit("} else {")
+        self.depth += 1
+        loops(dense=False)
+        self.depth -= 1
+        self.emit("}")
+
     def _store(self, stmt: Store) -> None:
         """One ``Store`` as dense loops, in up to two versions.
 
@@ -778,10 +811,7 @@ class _SegmentEmitter:
             self.local_params[pname] = ident
         width = vectorize_width(func.schedule)
         last = rank - 1
-        # The low corner of every load index the box check covers.
-        lows = {span[0]: None
-                for node in func.value.walk() if isinstance(node, BufferAccess)
-                for span in map(self._index_range, node.indices) if span}
+        lows = self._load_lows([func.value])
         pair = None
         if rank >= 2:
             pair = self._pair_loads(func.value, func.variables[0].name,
@@ -827,26 +857,13 @@ class _SegmentEmitter:
             self.dense, self.exits = dense, False
             body(idents)
             if width and not self.exits:
-                self.lines.insert(header, "    " * (self.depth - 1) + (
-                    "#pragma omp simd" if width == NATURAL_VECTOR_WIDTH
-                    else f"#pragma omp simd simdlen({width})"))
+                self._simd(header, width)
             self.dense = False
             for _ in range(rank):
                 self.depth -= 1
                 self.emit("}")
 
-        if lows:
-            self.emit(f"if ({' && '.join(f'{lo} >= 0' for lo in lows)}) {{")
-            self.depth += 1
-            loops(dense=True)
-            self.depth -= 1
-            self.emit("} else {")
-            self.depth += 1
-            loops(dense=False)
-            self.depth -= 1
-            self.emit("}")
-        else:
-            loops(dense=True)
+        self._versions([f"{lo} >= 0" for lo in lows], loops)
         self._close_box(box)
         self.local_params = saved_locals
         self.depth -= 1
@@ -857,6 +874,24 @@ class _SegmentEmitter:
     # --------------------------------------------------------- ReduceLoop
 
     def _reduce(self, stmt: ReduceLoop) -> None:
+        """One ``ReduceLoop`` as plain counted loops, in up to two versions.
+
+        A scatter index built like a load index (:meth:`_index_range`) is
+        checked once at the loop box's corners, rc 2 hoisted in front of the
+        box with the load checks — exact, since its bounds are attained
+        there; any other index (a histogram's bin, read from data) is
+        checked per element in both versions.  The dense version runs when
+        every corner-checked low bound is ``>= 0`` and drops those indices'
+        negative wraps; otherwise the wrapped version keeps NumPy's
+        negative-index semantics.
+
+        The dense version's innermost loop carries ``#pragma omp simd``
+        (schedule permitting) when its body cannot return and the target
+        index is the innermost RVar plus invariant terms in one position and
+        absent from the others: each iteration then writes a distinct
+        target, so every target's updates keep their order — integer and
+        float accumulators alike.  Histograms and row sums stay scalar.
+        """
         func = stmt.func
         if func.reduction is None:
             raise CGenError(f"reduce loop over {func.name!r} without a reduction")
@@ -877,6 +912,7 @@ class _SegmentEmitter:
         self.depth += 1
         orgs = [self._temp("int64_t", self._scalar(v)) for v in stmt.source_origin]
         exts = [self._temp("int64_t", self._scalar(v)) for v in stmt.source_extent]
+        ends = [self._temp("int64_t", f"{o} + {e}") for o, e in zip(orgs, exts)]
         guard = " && ".join(f"{e} > 0" for e in exts)
         self.emit(f"if ({guard}) {{")
         self.depth += 1
@@ -901,57 +937,87 @@ class _SegmentEmitter:
             raise CGenError(
                 f"reduction writes {len(index_exprs)} indices, target rank "
                 f"is {slab.rank}")
-        # loop counters run over global source coordinates
-        counters: List[str] = []
-        for a in range(n):
-            ident = self._fresh(f"c{a}")
-            end = self._temp("int64_t", f"{orgs[a]} + {exts[a]}")
-            self.emit(f"for (int64_t {ident} = {orgs[a]}; {ident} < {end}; ++{ident}) {{")
-            self.depth += 1
-            counters.append(ident)
-        scope = {}
-        for position, var in enumerate(rvars):
-            scope[var.name] = counters[n - 1 - position]
-        saved_scope = self.value_scope
-        self.value_scope = scope
-        # np_index = reversed(indices): index_exprs[p] addresses target
-        # numpy axis rank-1-p, with negative wrap then a bounds check
-        # (np.add.at raises IndexError; we return rc 2).
-        terms = [slab.base] if slab.base != "0" else []
-        for position, index in enumerate(index_exprs):
-            axis = slab.rank - 1 - position
-            val, kind = self._expr(index)
-            idx = self._temp("int64_t", self._as_i64(val, kind))
-            wrapped = self._temp(
-                "int64_t", f"{idx} + (({idx} >> 63) & {slab.dims[axis]})")
-            self.emit(f"if ({wrapped} < 0 || {wrapped} >= {slab.dims[axis]}) "
-                      "{ return 2; }")
-            terms.append(f"{wrapped} * {slab.strides[axis]}")
-        flat = self._temp("int64_t", " + ".join(terms) if terms else "0")
+        # index_exprs[p] addresses target numpy axis rank-1-p; an index
+        # with a span is checked at the box's corners (rc 2, hoisted), any
+        # other per element (np.add.at raises IndexError; C returns rc 2).
+        spans = [self._index_range(index) for index in index_exprs]
+        dense_if = {f"{lo} >= 0": None for lo in self._load_lows(check_exprs)}
+        for position, span in enumerate(spans):
+            if span is not None:
+                dim = slab.dims[slab.rank - 1 - position]
+                self.hoisted[2].setdefault(
+                    f"if ({span[0]} < -{dim} || {span[1]} >= {dim}) "
+                    "{ return 2; }")
+                dense_if.setdefault(f"{span[0]} >= 0")
+        inner = rvars[0].name
+        hits = [index for index in index_exprs
+                if any(isinstance(node, Var) and node.name == inner
+                       for node in index.walk())]
+        injective = len(hits) == 1 and self._unit_offset(hits[0], inner)
+        width = vectorize_width(func.schedule)
         sto = slab.ctype
-        if increment is not None:
+
+        def body(dense: bool) -> None:
+            terms = [slab.base] if slab.base != "0" else []
+            for position, index in enumerate(index_exprs):
+                axis = slab.rank - 1 - position
+                dim = slab.dims[axis]
+                val, kind = self._expr(index)
+                idx = self._temp("int64_t", self._as_i64(val, kind))
+                if dense and spans[position] is not None:
+                    wrapped = idx
+                else:
+                    wrapped = self._temp(
+                        "int64_t", f"{idx} + (({idx} >> 63) & {dim})")
+                    if spans[position] is None:
+                        self.exits = True
+                        self.emit(f"if ((uint64_t){wrapped} >= (uint64_t){dim}) "
+                                  "{ return 2; }")
+                terms.append(f"{wrapped} * {slab.strides[axis]}")
+            flat = self._temp("int64_t", " + ".join(terms) if terms else "0")
+            target = f"{slab.ptr}[{flat}]"
+            if increment is None:
+                val, kind = self._expr(update)
+                wrapped, _ = self._wrap_cast(val, kind, func.dtype)
+                self.emit(f"{target} = ({sto})({wrapped});")
+                return
             # np.add.at: cast the increment to the accumulator dtype first,
             # then accumulate with accumulator-dtype wraparound.
             val, kind = self._expr(increment)
-            inc = self._temp(sto, f"({sto})({self._as_i64(val, kind) if func.dtype.is_integer else val})")
             if func.dtype.is_float:
-                self.emit(f"{slab.ptr}[{flat}] = {slab.ptr}[{flat}] + {inc};")
-            elif func.dtype.bits == 64:
-                self.emit(f"{slab.ptr}[{flat}] = ({sto})((uint64_t){slab.ptr}[{flat}] "
-                          f"+ (uint64_t){inc});")
-            else:
-                # widen to int64 for the add to dodge narrow signed-overflow
-                # UB; the cast back wraps exactly like the NumPy accumulator.
-                self.emit(f"{slab.ptr}[{flat}] = ({sto})((int64_t){slab.ptr}[{flat}] "
-                          f"+ (int64_t){inc});")
-        else:
-            val, kind = self._expr(update)
-            wrapped, _ = self._wrap_cast(val, kind, func.dtype)
-            self.emit(f"{slab.ptr}[{flat}] = ({sto})({wrapped});")
-        self.value_scope = saved_scope
-        for _ in range(n):
-            self.depth -= 1
-            self.emit("}")
+                inc = self._temp(sto, f"({sto})({val})")
+                self.emit(f"{target} = {target} + {inc};")
+                return
+            inc = self._temp(sto, f"({sto})({self._as_i64(val, kind)})")
+            # add in the unsigned type of the accumulator's width: it wraps
+            # like the NumPy accumulator, with no signed-overflow UB
+            unsigned = f"uint{func.dtype.bits}_t"
+            self.emit(f"{target} = ({sto})(({unsigned}){target} "
+                      f"+ ({unsigned}){inc});")
+
+        def loops(dense: bool) -> None:
+            counters: List[str] = []
+            for a in range(n):
+                header = len(self.lines)    # ends as the innermost loop's
+                ident = self._fresh(f"c{a}")
+                self.emit(f"for (int64_t {ident} = {orgs[a]}; {ident} < "
+                          f"{ends[a]}; ++{ident}) {{")
+                self.depth += 1
+                counters.append(ident)
+            saved_scope = self.value_scope
+            self.value_scope = {var.name: counters[n - 1 - position]
+                                for position, var in enumerate(rvars)}
+            self.dense, self.exits = dense, False
+            body(dense)
+            if dense and injective and width and not self.exits:
+                self._simd(header, width)
+            self.dense = False
+            self.value_scope = saved_scope
+            for _ in range(n):
+                self.depth -= 1
+                self.emit("}")
+
+        self._versions(dense_if, loops)
         self._close_box(box)
         self.depth -= 1
         self.emit("}")

@@ -46,7 +46,6 @@ from ..ir import (
     Call,
     Cast,
     Const,
-    DType,
     Expr,
     Op,
     Param,
@@ -54,8 +53,14 @@ from ..ir import (
     UnOp,
     Var,
     number_subtrees,
-)  # noqa: F401 (DType used in annotations)
-from ..ir.simplify import _trunc_div
+)
+from ..ir.interval import (
+    dtype_bounds,
+    interval_binop,
+    interval_cast,
+    interval_select,
+    interval_unop,
+)
 from ..reliability.faults import fault_point
 from .func import Func
 from .lower import _shift_of_index
@@ -121,69 +126,6 @@ def _gather(array: np.ndarray, indices, dt) -> np.ndarray:
     if len(idx) > 1:
         idx = np.broadcast_arrays(*idx)
     return array[tuple(reversed(idx))].astype(dt)
-
-
-# ---------------------------------------------------------------------------
-# Interval analysis
-# ---------------------------------------------------------------------------
-
-
-def _dtype_bounds(dtype: DType) -> tuple[int, int]:
-    if dtype.is_signed:
-        half = 1 << (dtype.bits - 1)
-        return -half, half - 1
-    return 0, (1 << dtype.bits) - 1
-
-
-def _corner(fn, a, b):
-    values = [fn(x, y) for x in a for y in b]
-    return min(values), max(values)
-
-
-def _interval_binop(op: str, a, b):
-    """Bounds of ``a op b`` given operand bounds; None when unknown."""
-    if a is None or b is None:
-        return (0, 1) if op in Op.COMPARISONS else None
-    a_lo, a_hi = a
-    b_lo, b_hi = b
-    if op == Op.ADD:
-        return a_lo + b_lo, a_hi + b_hi
-    if op == Op.SUB:
-        return a_lo - b_hi, a_hi - b_lo
-    if op == Op.MUL:
-        return _corner(lambda x, y: x * y, (a_lo, a_hi), (b_lo, b_hi))
-    if op == Op.DIV:
-        if b_lo <= 0 <= b_hi:
-            return None
-        return _corner(_trunc_div, (a_lo, a_hi), (b_lo, b_hi))
-    if op == Op.MOD:
-        if b_lo <= 0 <= b_hi:
-            return None
-        magnitude = max(abs(b_lo), abs(b_hi)) - 1
-        return (-magnitude if a_lo < 0 else 0), (magnitude if a_hi > 0 else 0)
-    if op in (Op.SHR, Op.SAR):
-        if b_lo < 0 or b_hi > 31:
-            return None
-        return _corner(lambda x, y: x >> y, (a_lo, a_hi), (b_lo, b_hi))
-    if op == Op.SHL:
-        if b_lo < 0 or b_hi > 31:
-            return None
-        return _corner(lambda x, y: x << y, (a_lo, a_hi), (b_lo, b_hi))
-    if op == Op.AND:
-        if a_lo >= 0 and b_lo >= 0:
-            return 0, min(a_hi, b_hi)
-        return None
-    if op in (Op.OR, Op.XOR):
-        if a_lo >= 0 and b_lo >= 0:
-            return 0, (1 << max(a_hi, b_hi).bit_length()) - 1
-        return None
-    if op == Op.MIN:
-        return min(a_lo, b_lo), min(a_hi, b_hi)
-    if op == Op.MAX:
-        return max(a_lo, b_lo), max(a_hi, b_hi)
-    if op in Op.COMPARISONS:
-        return 0, 1
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +254,15 @@ class _DomainEmitter:
         if isinstance(node, BufferAccess):
             if node.dtype.is_float:
                 return "f64", None
-            return "int", _dtype_bounds(node.dtype)
+            return "int", dtype_bounds(node.dtype)
         if isinstance(node, Cast):
             operand_kind = kind_of(node.a)
             if node.dtype.is_float:
                 return ("f64" if node.dtype.bits == 64 else "f32"), None
             if not node.dtype.is_integer:
                 raise LoweringError(f"cannot lower cast to {node.dtype}")
-            bounds = _dtype_bounds(node.dtype)
-            operand = get(node.a)
-            if operand_kind in ("int", "bool") and operand is not None \
-                    and bounds[0] <= operand[0] and operand[1] <= bounds[1]:
-                return "int", operand
-            return "int", bounds
+            operand = get(node.a) if operand_kind in ("int", "bool") else None
+            return "int", interval_cast(node.dtype, operand)
         if isinstance(node, BinOp):
             a_kind, b_kind = kind_of(node.a), kind_of(node.b)
             if node.op in Op.COMPARISONS:
@@ -337,38 +275,20 @@ class _DomainEmitter:
                     kind = "f32" if floats == {"f32"} and a_kind == b_kind else "f64"
                     return kind, None
                 raise LoweringError(f"unknown float op {node.op}")
-            return "int", _interval_binop(node.op, get(node.a), get(node.b))
+            return "int", interval_binop(node.op, get(node.a), get(node.b))
         if isinstance(node, UnOp):
+            if node.op not in (Op.NEG, Op.NOT, Op.ABS):
+                raise LoweringError(f"unknown unary op {node.op}")
             operand_kind = kind_of(node.a)
-            operand = get(node.a)
-            if node.op == Op.NEG:
-                if operand_kind in ("f32", "f64"):
-                    return operand_kind, None
-                if operand is None:
-                    return "int", None
-                return "int", (-operand[1], -operand[0])
-            if node.op == Op.NOT:
-                if operand is None:
-                    return "int", None
-                return "int", (-operand[1] - 1, -operand[0] - 1)
-            if node.op == Op.ABS:
-                if operand_kind in ("f32", "f64"):
-                    return operand_kind, None
-                if operand is None:
-                    return "int", None
-                lo, hi = operand
-                low = 0 if lo <= 0 <= hi else min(abs(lo), abs(hi))
-                return "int", (low, max(abs(lo), abs(hi)))
-            raise LoweringError(f"unknown unary op {node.op}")
+            if operand_kind in ("f32", "f64") and node.op != Op.NOT:
+                return operand_kind, None
+            return "int", interval_unop(node.op, get(node.a))
         if isinstance(node, Select):
             t_kind, f_kind = kind_of(node.if_true), kind_of(node.if_false)
             floats = {k for k in (t_kind, f_kind) if k in ("f32", "f64")}
             if floats:
                 return ("f32" if floats == {"f32"} and t_kind == f_kind else "f64"), None
-            t_bounds, f_bounds = get(node.if_true), get(node.if_false)
-            if t_bounds is None or f_bounds is None:
-                return "int", None
-            return "int", (min(t_bounds[0], f_bounds[0]), max(t_bounds[1], f_bounds[1]))
+            return "int", interval_select(get(node.if_true), get(node.if_false))
         if isinstance(node, Call):
             if node.func == "round":
                 return "int", None
@@ -398,7 +318,7 @@ class _DomainEmitter:
 
         def value_preserving(cast: Cast) -> bool:
             operand_vid = self.numbering.ids[cast.a]
-            bounds = _dtype_bounds(cast.dtype)
+            bounds = dtype_bounds(cast.dtype)
             interval = self.intervals[operand_vid]
             return (self.kinds[operand_vid] == "int" and interval is not None
                     and bounds[0] <= interval[0] and interval[1] <= bounds[1])
@@ -459,7 +379,7 @@ class _DomainEmitter:
                 return False
             if isinstance(node, Cast) and node.dtype.is_integer:
                 operand_vid = self.numbering.ids[node.a]
-                bounds = _dtype_bounds(node.dtype)
+                bounds = dtype_bounds(node.dtype)
                 operand_interval = self.intervals[operand_vid]
                 elided = (self.kinds[operand_vid] == "int"
                           and operand_interval is not None
@@ -654,7 +574,7 @@ class _DomainEmitter:
             self._store(node, f"_np.asarray({operand}).astype({target}, copy=False)",
                         owned=False, full=operand_entry.full)
             return
-        bounds = _dtype_bounds(node.dtype)
+        bounds = dtype_bounds(node.dtype)
         operand_interval = self.intervals[self.numbering.ids[node.a]]
         if operand_entry.kind == "int" and operand_interval is not None \
                 and bounds[0] <= operand_interval[0] and operand_interval[1] <= bounds[1]:
@@ -999,7 +919,7 @@ def _emit_pure_body(func: Func, emitter: _DomainEmitter) -> list[str]:
     root_vid = emitter.numbering.ids[func.value]
     root_interval = emitter.intervals[root_vid]
     root_kind = emitter.kinds[root_vid]
-    bounds = _dtype_bounds(func.dtype) if func.dtype.is_integer else None
+    bounds = dtype_bounds(func.dtype) if func.dtype.is_integer else None
     if func.dtype.is_integer and root_kind in ("int", "bool") \
             and root_interval is not None \
             and bounds[0] <= root_interval[0] and root_interval[1] <= bounds[1]:

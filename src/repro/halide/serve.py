@@ -833,7 +833,6 @@ class PipelineServer:
         ``SystemExit`` propagate to the caller (they are not request
         outcomes) while the ``finally`` still rebalances the inflight count.
         """
-        future: Future = Future()
         with self._lock:
             # Same re-check the pooled path makes when taking its slot: a
             # close() that ran after submit()'s entry check must win, or
@@ -843,13 +842,30 @@ class PipelineServer:
             self._stats["submitted"] += 1
             self._inflight += 1
         try:
-            result = self._run_request(task, deadline, retry)
-        except Exception as exc:
-            self._resolve(future, exception=exc)
-        else:
-            future.set_result(result)
+            return self._inline_future(
+                *self._inline_outcome(task, deadline, retry))
         finally:
             self._finish_one()
+
+    def _inline_outcome(self, task, deadline, retry) -> tuple:
+        """``(result, None)`` or ``(None, exception)`` of one inline request.
+
+        A failure's traceback keeps this frame and, through it, every frame
+        that called it; if one of them held the future that carries the
+        exception, the two would form a cycle only a full collection frees.
+        So the future is made afterwards, by :meth:`_inline_future`.
+        """
+        try:
+            return self._run_request(task, deadline, retry), None
+        except Exception as exc:
+            return None, exc
+
+    def _inline_future(self, result, error) -> Future:
+        future: Future = Future()
+        if error is None:
+            future.set_result(result)
+        else:
+            self._resolve(future, exception=error)
         return future
 
     def _finish_one(self) -> None:

@@ -71,6 +71,42 @@ PS_PADDED_FILTERS = ("blur", "blur_more", "sharpen", "sharpen_more",
 IV_PADDED_FILTERS = ("blur", "sharpen", "emboss")
 
 
+#: ``id(result)`` -> facts derived from a LiftResult's kernels once: lookup
+#: tables, input names, reduction output shapes.  A finalizer drops the
+#: entry with its LiftResult, so an id is never read after it can be
+#: reused; the result itself, a pickled store artifact, never holds them.
+_FACTS: dict[int, dict] = {}
+
+#: Reduction output shapes one kernel remembers before forgetting them all.
+_MAX_SHAPES = 32
+
+
+def _facts(result: LiftResult) -> dict:
+    facts = _FACTS.get(id(result))
+    if facts is None:
+        facts = _FACTS.setdefault(id(result), {})
+        weakref.finalize(result, _FACTS.pop, id(result), None)
+    return facts
+
+
+def kernel_inputs(result: LiftResult, kernel) -> tuple[tuple[str, ...],
+                                                        tuple[str, ...]]:
+    """``(inputs, image inputs)`` of one of ``result``'s kernels, sorted.
+
+    The buffers a request binds, and those of them that are frames rather
+    than lookup tables (traced 1-D buffers); walked once per LiftResult.
+    """
+    facts = _facts(result)
+    found = facts.get(("inputs", kernel.output))
+    if found is None:
+        names = tuple(sorted(kernel.input_names))
+        images = tuple(name for name in names
+                       if result.buffer_specs.get(name) is None
+                       or result.buffer_specs[name].dimensionality > 1)
+        found = facts.setdefault(("inputs", kernel.output), (names, images))
+    return found
+
+
 def reduction_output_shape(result: LiftResult, kernel,
                            source_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Output extents (innermost-first) of a lifted reduction kernel.
@@ -84,8 +120,20 @@ def reduction_output_shape(result: LiftResult, kernel,
     ``colsum(r_0)``) scales with the full-size frame: its extent is the
     index's maximum over the RDom corner points, plus one.
     ``source_shape`` is the full-size RDom source in NumPy (outermost-first)
-    order.
+    order.  Remembered per LiftResult, kernel and source shape.
     """
+    shapes = _facts(result).setdefault(("shapes", kernel.output), {})
+    key = tuple(source_shape)
+    shape = shapes.get(key)
+    if shape is None:
+        if len(shapes) >= _MAX_SHAPES:
+            shapes.clear()
+        shape = shapes[key] = _reduction_output_shape(result, kernel, key)
+    return shape
+
+
+def _reduction_output_shape(result: LiftResult, kernel,
+                            source_shape: tuple[int, ...]) -> tuple[int, ...]:
     from ..ir import BufferAccess, evaluate
 
     func = result.funcs[kernel.output]
@@ -116,26 +164,18 @@ def _corner_points(extents: list[int]) -> list[tuple[int, ...]]:
     return points
 
 
-#: ``id(result)`` -> {buffer name: table}; a finalizer drops the entry with
-#: its LiftResult, so an id is never read after it can be reused.
-_TABLES: dict[int, dict[str, np.ndarray]] = {}
-
-
 def _lookup_table(result: LiftResult, name: str) -> np.ndarray:
     """Table input ``name`` of ``result``, read from the traced memory once.
 
     Every request of the result shares the array, so it is read-only.
     """
-    tables = _TABLES.get(id(result))
-    if tables is None:
-        tables = _TABLES.setdefault(id(result), {})
-        weakref.finalize(result, _TABLES.pop, id(result), None)
-    table = tables.get(name)
+    facts = _facts(result)
+    table = facts.get(("table", name))
     if table is None:
         table = result.buffer_specs[name].read_array(
             result.trace_run.memory.read_uint)
         table.flags.writeable = False
-        table = tables.setdefault(name, table)
+        table = facts.setdefault(("table", name), table)
     return table
 
 
@@ -152,10 +192,8 @@ def photoshop_kernel_request(result: LiftResult, filter_name: str,
     pad = 1 if filter_name in PS_PADDED_FILTERS else 0
     height, width = planes[channel].shape
     buffers: dict[str, np.ndarray] = {}
-    image_inputs = [name for name in sorted(kernel.input_names)
-                    if result.buffer_specs.get(name) is None
-                    or result.buffer_specs[name].dimensionality > 1]
-    for name in sorted(kernel.input_names):
+    names, image_inputs = kernel_inputs(result, kernel)
+    for name in names:
         if name not in image_inputs:
             # A lookup table input, rebuilt from the traced run once.
             buffers[name] = _lookup_table(result, name)
@@ -211,7 +249,7 @@ def irfanview_kernel_request(result: LiftResult, filter_name: str,
     padded = np.pad(image, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
     # The lifted kernels index interleaved images as (channel, x, y), which is
     # an outermost-first (y, x, channel) NumPy array.
-    buffers = {name: padded for name in kernel.input_names}
+    buffers = dict.fromkeys(kernel_inputs(result, kernel)[0], padded)
     func = result.funcs.get(kernel.output)
     if func is not None and func.reduction is not None:
         shape = reduction_output_shape(result, kernel, padded.shape)
@@ -232,17 +270,20 @@ def apply_lifted_irfanview(result: LiftResult, filter_name: str,
 def apply_lifted_minigmg(result: LiftResult, grid: np.ndarray,
                          iterations: int = 4,
                          engine: str | None = None) -> np.ndarray:
-    """Apply the lifted smooth stencil for several Jacobi iterations."""
+    """Apply the lifted smooth stencil for several Jacobi iterations.
+
+    Two copies of the grid take turns: each iteration reads one and writes
+    its interior into the other, whose ghost zone already holds the grid's.
+    """
     kernel = result.kernels[0]
     func = result.funcs[kernel.output]
+    names = kernel_inputs(result, kernel)[0]
     nz, ny, nx = (s - 2 for s in grid.shape)
-    current = grid.copy()
+    current, spare = grid.copy(), grid.copy()
     for _ in range(iterations):
-        buffers = {name: current for name in kernel.input_names}
-        interior = realize(func, (nx, ny, nz), buffers, engine=engine)
-        new = current.copy()
-        new[1:nz + 1, 1:ny + 1, 1:nx + 1] = interior
-        current = new
+        spare[1:nz + 1, 1:ny + 1, 1:nx + 1] = realize(
+            func, (nx, ny, nz), dict.fromkeys(names, current), engine=engine)
+        current, spare = spare, current
     return current
 
 

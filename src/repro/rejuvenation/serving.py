@@ -17,7 +17,8 @@ import numpy as np
 from ..core import LiftResult
 from ..halide.func import Func
 from ..halide.serve import BatchResult, PipelineServer
-from .lifted import irfanview_kernel_request, photoshop_kernel_request
+from .lifted import (irfanview_kernel_request, kernel_inputs,
+                     photoshop_kernel_request)
 
 
 def make_serve_requests(result: LiftResult, frames: Sequence[np.ndarray]
@@ -49,11 +50,12 @@ def make_serve_requests(result: LiftResult, frames: Sequence[np.ndarray]
     if result.app_name == "minigmg":
         kernel = result.kernels[0]
         func = result.funcs[kernel.output]
+        names = kernel_inputs(result, kernel)[0]
         requests = []
         for grid in frames:
             nz, ny, nx = (extent - 2 for extent in grid.shape)
             requests.append({"shape": (nx, ny, nz),
-                             "buffers": {name: grid for name in kernel.input_names}})
+                             "buffers": dict.fromkeys(names, grid)})
         return func, requests
     raise KeyError(f"no serving request builder for app {result.app_name!r}")
 

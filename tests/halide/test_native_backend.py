@@ -1,6 +1,6 @@
 """The native C backend against the interpreter oracle.
 
-Three layers of evidence:
+Layers of evidence:
 
 * **registry sweep** — every registered (app, filter) scenario realizes
   through ``apply_lifted_*`` on the native engine bit-identically to
@@ -19,6 +19,10 @@ Three layers of evidence:
   version of a ``Store`` (fused, unfused, wrapped) against the oracle,
   loops that can return early stay native, and gcc's own report says the
   lifted IrfanView Store loops vectorize;
+* **reduce loops** — hypothesis-random reductions take each version of a
+  ``ReduceLoop`` (dense, wrapped) and raise exactly where ``np.add.at``
+  does; gcc vectorizes the lifted column sum's dense reduce loop, while a
+  histogram's and a row sum's carry no ``omp simd``;
 * **caching / fallback** — the ArtifactStore ``native/`` stage serves warm
   ``.so`` bytes with zero compiler invocations but never across compiler
   flags or host targets, and a missing toolchain degrades to the compiled
@@ -552,6 +556,151 @@ class TestDenseLoops:
         assert after["native_frames"] == before["native_frames"] + 8
 
 
+# ---------------------------------------------------------------------------
+# Reduce loops: both versions of a ReduceLoop against the oracle
+# ---------------------------------------------------------------------------
+
+
+def _scatter_index(kind, load, offset=0, shift=0, modulus=None):
+    """One scatter index over the RDom ``(r_0, r_1)``: ``inner`` is
+    ``r_0 + offset`` (injective in the innermost RVar), ``outer`` is
+    ``r_1 + offset`` (invariant in it: a row sum), ``data`` is
+    ``load >> shift`` and ``equalize`` the lifted histogram's
+    ``(4 * load) / 4`` (both checked per element); ``modulus`` takes
+    ``% modulus`` of any of them."""
+    if kind in ("inner", "outer"):
+        index = IRVar("r_0" if kind == "inner" else "r_1")
+        if offset:
+            index = BinOp(Op.ADD, index, Const(offset))
+    elif kind == "data":
+        index = BinOp(Op.SHR, Cast(UINT32, load), Const(shift, UINT32),
+                      UINT32)
+    else:
+        index = BinOp(Op.DIV, BinOp(Op.MUL, Const(4, UINT32),
+                                    Cast(UINT32, load), UINT32),
+                      Const(4, UINT32), UINT32)
+    return index if modulus is None else BinOp(Op.MOD, index, Const(modulus))
+
+
+@needs_cc
+class TestReduceLoops:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_reductions_match_oracle(self, data):
+        """Scatter indices injective in ``r_0``, invariant in it, or read
+        from uint8/uint16 data, through ``% const`` and negative offsets,
+        into targets above and below the index's reach; uint8, uint16,
+        uint32 and float64 accumulators; whole-domain sweeps and parallel
+        strips.  Native raises exactly where ``np.add.at`` raises, matches
+        the oracle otherwise, and never degrades."""
+        from repro.halide.realize import RealizationError
+
+        source_dtype = data.draw(st.sampled_from([UINT8, UINT16]),
+                                 label="source dtype")
+        bits = source_dtype.bits
+        height = data.draw(st.integers(1, 9), label="height")
+        width = data.draw(st.integers(1, 11), label="width")
+        largest = data.draw(st.sampled_from([3, 40, (1 << bits) - 1]),
+                            label="largest value")
+        frame = np.random.default_rng(largest + width).integers(
+            0, largest + 1, size=(height, width),
+            dtype=source_dtype.to_numpy())
+        load = BufferAccess("input_1", [IRVar("r_0"), IRVar("r_1")],
+                            source_dtype)
+        rank = data.draw(st.integers(1, 2), label="target rank")
+        indices, shape = [], []
+        for position in range(rank):
+            kind = data.draw(st.sampled_from(
+                ("inner", "outer", "data")
+                + (("equalize",) if bits == 8 else ())),
+                label=f"index {position}")
+            offset = shift = 0
+            if kind in ("inner", "outer"):
+                offset = data.draw(st.integers(-3, 2), label="offset")
+                reach = (width if kind == "inner" else height) - 1 + offset
+            elif kind == "data":
+                shift = data.draw(st.integers(bits - 8, bits - 1),
+                                  label="shift")
+                reach = ((1 << bits) - 1) >> shift
+            else:
+                reach = 255
+            modulus = data.draw(st.sampled_from([None, None, 1, 3, 7]),
+                                label="modulus")
+            if modulus is not None:
+                reach = min(reach, modulus - 1)
+            indices.append(_scatter_index(kind, load, offset, shift, modulus))
+            # below the reach the scatter may leave the target
+            shape.append(max(1, reach + 1 + data.draw(
+                st.integers(-2, 2), label="extent - reach")))
+        dtype = data.draw(st.sampled_from([UINT8, UINT16, UINT32, FLOAT64]),
+                          label="accumulator")
+        update = data.draw(st.sampled_from(("count", "sum", "assign")),
+                           label="update")
+        if update == "assign":
+            # scatter-assign: the last write wins, in source order
+            value = BinOp(Op.ADD, Cast(UINT32, load),
+                          BinOp(Op.MUL, IRVar("r_0"), Const(3)), UINT32)
+            expr = Cast(dtype, value)
+        else:
+            increment = Const(1) if update == "count" else (
+                BinOp(Op.MUL, Cast(FLOAT64, load), Const(0.1), FLOAT64)
+                if dtype.is_float else Cast(dtype, load))
+            expr = BinOp(Op.ADD, BufferAccess("acc", indices, dtype),
+                         increment, dtype)
+        variables = [Var(f"x_{axis}") for axis in range(rank)]
+        func = Func("acc", variables, dtype=dtype).define(Const(2))
+        func.update(RDom("r", source="input_1", dimensions=2), indices, expr)
+        strip = data.draw(st.sampled_from([None, 1, 2, 4]),
+                          label="strip rows")
+        func.schedule = Schedule(
+            tile_x=8, tile_y=strip or 0, parallel=strip is not None,
+            vectorize=data.draw(st.sampled_from([True, False, 4]),
+                                label="vectorize"))
+        buffers = {"input_1": frame}
+        try:
+            oracle = realize_interp(func, tuple(shape), buffers)
+        except IndexError:
+            oracle = None
+        before = native_stats()
+        if oracle is None:
+            with pytest.raises(RealizationError, match="out of bounds"):
+                realize(func, tuple(shape), buffers, engine="native")
+        else:
+            np.testing.assert_array_equal(
+                realize(func, tuple(shape), buffers, engine="native"), oracle)
+            assert native_stats()["native_frames"] == \
+                before["native_frames"] + 1
+        assert native_stats()["degraded"] == before["degraded"]
+
+    @pytest.mark.parametrize("dtype, value", [
+        (np.uint16, 256), (np.uint16, 65535), (np.int8, -1)])
+    def test_bins_from_a_wider_plane_than_declared_raise(self, dtype, value):
+        """The lifted histogram's bin ``(4 * cast<uint32>(u8)) / 4`` reads
+        whatever plane is bound, not only the uint8 one it declares: on a
+        wider or signed plane a bin past the 256-bin target raises where
+        ``np.add.at`` does, instead of writing past the target."""
+        from repro.halide.realize import RealizationError
+
+        load = BufferAccess("input_1", [IRVar("r_0"), IRVar("r_1")], UINT8)
+        index = [_scatter_index("equalize", load)]
+        func = Func("acc", [Var("x_0")], dtype=UINT32).define(Const(0, UINT32))
+        func.update(RDom("r", source="input_1", dimensions=2), index, BinOp(
+            Op.ADD, BufferAccess("acc", index, UINT32), Const(1), UINT32))
+        frame = np.arange(15, dtype=dtype).reshape(3, 5)
+        frame[1, 2] = value
+        buffers = {"input_1": frame}
+        with pytest.raises(IndexError):
+            realize_interp(func, (256,), buffers)
+        before = native_stats()
+        with pytest.raises(RealizationError, match="out of bounds"):
+            realize(func, (256,), buffers, engine="native")
+        assert native_stats()["degraded"] == before["degraded"]
+        frame[1, 2] = 7
+        np.testing.assert_array_equal(
+            realize(func, (256,), buffers, engine="native"),
+            realize_interp(func, (256,), buffers))
+
+
 @needs_cc
 class TestVectorizes:
     """gcc's own report, at the production flags, on lifted nests."""
@@ -567,19 +716,8 @@ class TestVectorizes:
             pytest.skip("the vectorizer report flags are gcc's")
         self.cc = cc
 
-    def _report(self, tmp_path, filter_name):
-        """The lifted IrfanView filter's C at 480x320 and the source lines
-        gcc reports as vectorized loops."""
-        import re
-        import subprocess
-
-        from repro.rejuvenation import lift_irfanview_filter
-        from repro.rejuvenation.lifted import irfanview_kernel_request
-
-        result = lift_irfanview_filter(filter_name)
-        func = result.funcs[result.kernels[0].output]
-        image = _frame(61, shape=(320, 480, 3))
-        request = irfanview_kernel_request(result, filter_name, image)
+    def _source(self, func, request):
+        """The C ``realize`` builds for ``func`` on one request."""
         sources = []
         program = native_mod.generate_nest
 
@@ -594,17 +732,49 @@ class TestVectorizes:
             realize(func, request["shape"], request["buffers"],
                     engine="native")
         source, = sources
-        path = tmp_path / f"{filter_name}.c"
+        return source
+
+    def _vectorized(self, tmp_path, source):
+        """The source lines gcc reports as vectorized loops at the
+        production flags."""
+        import re
+        import subprocess
+
+        path = tmp_path / "nest.c"
         path.write_text(source)
         build = subprocess.run(
             [self.cc, *native_mod.CFLAGS, "-fopt-info-vec-optimized",
              "-o", str(tmp_path / "out.so"), str(path), "-lm"],
             capture_output=True, text=True)
         assert build.returncode == 0, build.stderr
-        vectorized = {int(m.group(1)) for m in re.finditer(
+        return {int(m.group(1)) for m in re.finditer(
             rf"{re.escape(path.name)}:(\d+):\d+: optimized: loop vectorized",
             build.stderr)}
-        return source, vectorized
+
+    def _report(self, tmp_path, filter_name):
+        """The lifted IrfanView filter's C at 480x320 and the source lines
+        gcc reports as vectorized loops."""
+        from repro.rejuvenation import lift_irfanview_filter
+        from repro.rejuvenation.lifted import irfanview_kernel_request
+
+        result = lift_irfanview_filter(filter_name)
+        func = result.funcs[result.kernels[0].output]
+        image = _frame(61, shape=(320, 480, 3))
+        source = self._source(func, irfanview_kernel_request(
+            result, filter_name, image))
+        return source, self._vectorized(tmp_path, source)
+
+    @staticmethod
+    def _photoshop_func(filter_name):
+        """A lifted Photoshop kernel and its request on a 480x320 plane."""
+        from repro.rejuvenation import lift_photoshop_filter
+        from repro.rejuvenation.lifted import photoshop_kernel_request
+
+        result = lift_photoshop_filter(filter_name)
+        kernel = sorted(result.kernels, key=lambda k: k.output)[0]
+        planes = {channel: _frame(62, shape=(320, 480)) for channel in "rgb"}
+        return result.funcs[kernel.output], photoshop_kernel_request(
+            result, filter_name, kernel, "r", planes)
 
     def _assert_dense_loop_vectorized(self, tmp_path, filter_name):
         source, vectorized = self._report(tmp_path, filter_name)
@@ -621,6 +791,34 @@ class TestVectorizes:
         if "-mavx512dq" not in native_mod.host_target(self.cc).split():
             pytest.skip("the host target lacks avx512dq")
         self._assert_dense_loop_vectorized(tmp_path, "blur")
+
+    def test_column_sum_reduce_loop_vectorizes(self, tmp_path):
+        """The lifted column sum scatters to ``r_0``: its dense reduce loop
+        carries ``omp simd`` and gcc vectorizes it."""
+        source = self._source(*self._photoshop_func("column_sum"))
+        vectorized = self._vectorized(tmp_path, source)
+        reduce_line = source[:source.index("/* reduce")].count("\n") + 1
+        first, last = next(span for span in _simd_loops(source)
+                           if span[0] > reduce_line)
+        assert any(first <= line <= last for line in vectorized), (
+            f"no vectorized loop in lines {first}-{last}; gcc reported "
+            f"{sorted(vectorized)}")
+
+    def test_histogram_and_row_sum_reduce_loops_stay_scalar(self):
+        """A histogram's bins and a row sum's slot repeat across the inner
+        loop's iterations: their reduce loops carry no ``omp simd``."""
+        x = Var("x_0")
+        row_sum = Func("rows", [x], dtype=UINT32).define(Const(0, UINT32))
+        row = [IRVar("r_1")]
+        row_sum.update(RDom("r", source="input_1", dimensions=2), row, BinOp(
+            Op.ADD, BufferAccess("rows", row, UINT32), Cast(UINT32, BufferAccess(
+                "input_1", [IRVar("r_0"), IRVar("r_1")], UINT8)), UINT32))
+        frame = _frame(64, shape=(32, 48))
+        for func, request in (
+                self._photoshop_func("equalize"),
+                (row_sum, {"shape": (32,), "buffers": {"input_1": frame}})):
+            source = self._source(func, request)
+            assert "#pragma omp simd" not in source[source.index("/* reduce"):]
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,12 @@ class TestZeroDivisorSemantics:
         assert isinstance(canonicalize(expr), BinOp)
 
     def test_interval_analysis_never_narrows_through_zero_divisor(self):
-        from repro.halide.compile import _interval_binop
+        from repro.ir.interval import interval_binop
 
-        assert _interval_binop(Op.DIV, (0, 10), (0, 4)) is None
-        assert _interval_binop(Op.DIV, (0, 10), (-2, 2)) is None
-        assert _interval_binop(Op.MOD, (0, 10), (0, 0)) is None
-        assert _interval_binop(Op.DIV, (0, 10), (1, 4)) is not None
+        assert interval_binop(Op.DIV, (0, 10), (0, 4)) is None
+        assert interval_binop(Op.DIV, (0, 10), (-2, 2)) is None
+        assert interval_binop(Op.MOD, (0, 10), (0, 0)) is None
+        assert interval_binop(Op.DIV, (0, 10), (1, 4)) is not None
 
 
 class TestScheduleObjects:

@@ -452,6 +452,27 @@ class TestDeadlinesAndRetries:
             finally:
                 gc.enable()
 
+    def test_failed_inline_request_leaves_no_reference_cycle(
+            self, monkeypatch):
+        """An inline request (``REPRO_PARALLEL=0``) that fails hands back a
+        future its exception's traceback does not reach: with GC off, the
+        future is freed as soon as the caller drops it."""
+        import gc
+        import weakref
+
+        monkeypatch.setenv("REPRO_PARALLEL", "0")     # force the inline path
+        with PipelineServer(blur_func()) as server:
+            gc.disable()
+            try:
+                future = server.submit(shape=(50, 34), buffers={})
+                assert future.done() and future.exception() is not None
+                freed = weakref.ref(future)
+                del future
+                assert freed() is None
+            finally:
+                gc.enable()
+        assert server.stats()["failed"] >= 1
+
     def test_stuck_request_resolves_at_the_deadline(self):
         """The request's future resolves with DeadlineExceeded while the
         worker is still stuck — result() never hangs — and close(wait=True)
