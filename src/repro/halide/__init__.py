@@ -65,14 +65,14 @@ from .tuningdb import (
     warm_start_func,
     warm_start_pipeline,
 )
-from .pipeline import FuncPipeline, FuncStage, FusedPipeline, inline_producer
+from .pipeline import FuncPipeline, FuncStage, inline_producer
 
 __all__ = ["Func", "ImageParam", "RDom", "Schedule", "Var", "realize",
            "realize_interp", "set_default_engine", "ENGINES",
            "CompiledKernel", "compile_func", "kernel_cache_stats",
            "clear_kernel_cache", "autotune", "autotune_pipeline",
            "PipelineTuneResult", "TuneResult", "tuner_stats",
-           "reset_tuner_stats", "FusedPipeline",
+           "reset_tuner_stats",
            "FuncPipeline", "FuncStage", "inline_producer",
            "CandidateScore", "StageFeatures", "score_features",
            "rank_func_candidates", "rank_pipeline_candidates",

@@ -5,71 +5,24 @@ inlines each producer into its consumer (improving locality, paper section
 6.4), while the unfused variant materializes every intermediate image the way
 the original applications do.
 
-Two granularities are provided.  :class:`FusedPipeline` chains opaque
-image-to-image callables and fuses by tiling.  :class:`FuncPipeline` chains
-lifted :class:`~repro.halide.func.Func` stages symbolically: pointwise
-producers are inlined into their consumers at the IR level (Halide's
-``compute_inline``), so the fused stage compiles to one kernel that never
-materializes the intermediate image at all.
+:class:`FuncPipeline` chains lifted :class:`~repro.halide.func.Func` stages
+symbolically into one loop nest; :meth:`FuncPipeline.fused` inlines the
+producers of pointwise consumers at the IR level (Halide's
+``compute_inline``), so the fused stage never materializes the intermediate
+image at all.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..ir import BufferAccess, Cast, Expr, canonicalize, substitute
 from .func import Func, vectorize_width
 from .realize import realize_interp
-
-
-@dataclass
-class PipelineStage:
-    """One kernel in a pipeline: a callable from image to image."""
-
-    name: str
-    apply: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass
-class FusedPipeline:
-    """A pipeline of lifted kernels that can run fused or stage-by-stage."""
-
-    stages: list[PipelineStage] = field(default_factory=list)
-
-    def add(self, name: str, apply: Callable[[np.ndarray], np.ndarray]) -> "FusedPipeline":
-        self.stages.append(PipelineStage(name, apply))
-        return self
-
-    def run_unfused(self, image: np.ndarray) -> np.ndarray:
-        """Run stage by stage, materializing every intermediate (legacy style)."""
-        current = image
-        for stage in self.stages:
-            current = np.ascontiguousarray(stage.apply(current))
-        return current
-
-    def run_fused(self, image: np.ndarray, tile_rows: int = 32) -> np.ndarray:
-        """Run the whole pipeline tile-by-tile to keep intermediates in cache."""
-        if image.shape[0] <= tile_rows:
-            return self.run_unfused(image)
-        outputs = []
-        halo = 2 * len(self.stages)
-        for start in range(0, image.shape[0], tile_rows):
-            stop = min(start + tile_rows, image.shape[0])
-            lo = max(0, start - halo)
-            hi = min(image.shape[0], stop + halo)
-            tile = image[lo:hi]
-            result = self.run_unfused(tile)
-            outputs.append(result[start - lo: start - lo + (stop - start)])
-        return np.concatenate(outputs, axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Func-level pipelines with IR inlining
-# ---------------------------------------------------------------------------
 
 
 @dataclass

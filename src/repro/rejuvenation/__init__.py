@@ -14,6 +14,7 @@ from .lifted import (
     lift_irfanview_filter,
     lift_minigmg_smooth,
     lift_photoshop_filter,
+    lifted_pipeline,
     photoshop_reference,
 )
 from .insitu import insitu_lifted_photoshop
@@ -23,6 +24,7 @@ __all__ = [
     "legacy_irfanview_filter", "legacy_minigmg_smooth", "legacy_photoshop_filter",
     "apply_lifted_irfanview", "apply_lifted_minigmg", "apply_lifted_photoshop",
     "clear_lift_memo", "lift_irfanview_filter", "lift_minigmg_smooth",
-    "lift_photoshop_filter", "photoshop_reference", "insitu_lifted_photoshop",
+    "lift_photoshop_filter", "lifted_pipeline", "photoshop_reference",
+    "insitu_lifted_photoshop",
     "make_serve_requests", "serve_lifted",
 ]

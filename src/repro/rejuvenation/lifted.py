@@ -11,17 +11,22 @@ the first lift of a scenario on a machine performs the instrumented runs and
 persists every stage artifact; every later lift — in this process (an
 in-process memo keeps object identity) or any later one — deserializes the
 artifacts and performs zero instrumented runs.
+
+:func:`lifted_pipeline` chains an app's lifted filters (the fig 8 pipelines)
+into one :class:`~repro.halide.pipeline.FuncPipeline`.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from typing import Sequence
 
 import numpy as np
 
 from ..apps.photoshop import FILTER_SPECS as PS_SPECS
 from ..core import LiftResult, lift_scenario
+from ..halide.pipeline import FuncPipeline
 from ..halide.realize import realize
 
 _memo: dict[tuple[str, str], LiftResult] = {}
@@ -59,16 +64,26 @@ def lift_minigmg_smooth() -> LiftResult:
     return _lift_cached("minigmg", "smooth")
 
 
-def _pad_plane(plane: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(plane, pad, mode="edge") if pad else plane
-
-
-#: Photoshop filters whose lifted kernels read a one-pixel halo (the app pads
-#: every edge by one pixel before running them).
+#: Photoshop and IrfanView filters whose lifted kernels read a one-pixel
+#: halo (the app pads every edge by one pixel before running them).
 PS_PADDED_FILTERS = ("blur", "blur_more", "sharpen", "sharpen_more",
                      "box_blur", "sharpen_edges", "despeckle")
-#: Same for IrfanView's interleaved kernels.
 IV_PADDED_FILTERS = ("blur", "sharpen", "emboss")
+_PADDED_FILTERS = {"photoshop": PS_PADDED_FILTERS,
+                   "irfanview": IV_PADDED_FILTERS}
+
+
+def _halo(app_name: str, filter_name: str, ndim: int) -> tuple | None:
+    """``np.pad`` widths of the halo a filter's kernel reads around an
+    ``ndim``-D image, or None (an interleaved channel axis is not padded)."""
+    if filter_name not in _PADDED_FILTERS[app_name]:
+        return None
+    return ((1, 1), (1, 1)) + ((0, 0),) * (ndim - 2)
+
+
+def _pad_plane(plane: np.ndarray, pad_width: tuple | None) -> np.ndarray:
+    """``plane`` edge-padded by ``pad_width``; ``plane`` itself for None."""
+    return plane if pad_width is None else np.pad(plane, pad_width, mode="edge")
 
 
 #: ``id(result)`` -> facts derived from a LiftResult's kernels once: lookup
@@ -189,7 +204,7 @@ def photoshop_kernel_request(result: LiftResult, filter_name: str,
     :meth:`repro.halide.serve.PipelineServer.submit` accept.
     """
     channel_order = ("r", "g", "b")
-    pad = 1 if filter_name in PS_PADDED_FILTERS else 0
+    pad = _halo("photoshop", filter_name, 2)
     height, width = planes[channel].shape
     buffers: dict[str, np.ndarray] = {}
     names, image_inputs = kernel_inputs(result, kernel)
@@ -245,8 +260,7 @@ def irfanview_kernel_request(result: LiftResult, filter_name: str,
     """Realization arguments for the IrfanView kernel on an interleaved image."""
     kernel = result.kernels[0]
     height, width, channels = image.shape
-    pad = 1 if filter_name in IV_PADDED_FILTERS else 0
-    padded = np.pad(image, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
+    padded = _pad_plane(image, _halo("irfanview", filter_name, image.ndim))
     # The lifted kernels index interleaved images as (channel, x, y), which is
     # an outermost-first (y, x, channel) NumPy array.
     buffers = dict.fromkeys(kernel_inputs(result, kernel)[0], padded)
@@ -265,6 +279,32 @@ def apply_lifted_irfanview(result: LiftResult, filter_name: str,
     func = result.funcs[kernel.output]
     request = irfanview_kernel_request(result, filter_name, image)
     return realize(func, request["shape"], request["buffers"], engine=engine)
+
+
+def lifted_pipeline(app_name: str, filters: Sequence[str],
+                    channel: str = "r") -> FuncPipeline:
+    """An app's filter chain as one :class:`FuncPipeline` of its lifts.
+
+    One stage per filter, in order: its lifted kernel (Photoshop: the one
+    for ``channel``'s plane; IrfanView: the interleaved image's) reading the
+    previous stage's image through the halo its request pads.  Fused or
+    not, the chain equals the filters applied one at a time.  A kernel that
+    reads more than one buffer (a lookup table, several planes) raises
+    ``ValueError``.
+    """
+    pipeline = FuncPipeline()
+    for name in filters:
+        result = _lift_cached(app_name, name)
+        kernel = sorted(result.kernels, key=lambda k: k.output)[
+            "rgb".index(channel) if app_name == "photoshop" else 0]
+        names = kernel_inputs(result, kernel)[0]
+        if len(names) != 1:
+            raise ValueError(f"{app_name}/{name} reads {names}: a chain stage "
+                             "reads one image")
+        func = result.funcs[kernel.output]
+        pipeline.add(func, input_name=names[0], name=name,
+                     pad_width=_halo(app_name, name, len(func.variables)))
+    return pipeline
 
 
 def apply_lifted_minigmg(result: LiftResult, grid: np.ndarray,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.halide import (FuncPipeline, FusedPipeline, Func, Schedule, Var,
+from repro.halide import (FuncPipeline, Func, Schedule, Var,
                           autotune, autotune_pipeline, configure_pool,
                           execution_stats, realize, reset_execution_stats)
 from repro.ir import BinOp, BufferAccess, Cast, Const, Op, UINT8, UINT32
@@ -150,26 +150,3 @@ class TestAutotunePipeline:
         autotune_pipeline(pipeline, image, iterations=6, seed=9)
         after = pipeline.realize(image)
         np.testing.assert_array_equal(before, after)
-
-
-class TestFusedPipeline:
-    def test_fused_equals_unfused_for_pointwise_stages(self):
-        rng = np.random.default_rng(2)
-        image = rng.integers(0, 256, size=(200, 64), dtype=np.uint8)
-        pipeline = FusedPipeline()
-        pipeline.add("invert", lambda img: (255 - img.astype(np.int32)).astype(np.uint8))
-        pipeline.add("dim", lambda img: (img // 2).astype(np.uint8))
-        np.testing.assert_array_equal(pipeline.run_fused(image, tile_rows=32),
-                                      pipeline.run_unfused(image))
-
-    def test_small_images_bypass_tiling(self):
-        image = np.arange(64, dtype=np.uint8).reshape(8, 8)
-        pipeline = FusedPipeline().add("id", lambda img: img)
-        np.testing.assert_array_equal(pipeline.run_fused(image, tile_rows=32), image)
-
-    def test_stage_order_preserved(self):
-        image = np.full((4, 4), 10, dtype=np.uint8)
-        pipeline = FusedPipeline()
-        pipeline.add("plus1", lambda img: img + 1)
-        pipeline.add("times2", lambda img: img * 2)
-        assert pipeline.run_unfused(image)[0, 0] == 22

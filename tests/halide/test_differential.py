@@ -329,30 +329,53 @@ class TestLiftedKernelsDifferential:
                                         engine="interp")
         np.testing.assert_array_equal(compiled, interp)
 
+    @staticmethod
+    def _assert_chain(pipeline, fused, image, expected):
+        """The oracle and, fused or not, every engine realize ``pipeline``
+        as ``expected``, its filters applied one at a time."""
+        np.testing.assert_array_equal(pipeline.realize_interp(image), expected)
+        chain = pipeline.fused() if fused else pipeline
+        # The unpadded pointwise middle stage inlines into its producer.
+        assert len(chain.stages) == (2 if fused else 3)
+        for engine in ENGINES:
+            np.testing.assert_array_equal(chain.realize(image, engine=engine),
+                                          expected, err_msg=f"engine={engine}")
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_photoshop_fig8_chain_every_engine(self, fused):
+        """The fig 8 Photoshop chain on each plane, whose kernels read that
+        plane's own input buffer."""
+        from repro.apps.images import make_test_planes
+        from repro.rejuvenation import (apply_lifted_photoshop,
+                                        lift_photoshop_filter, lifted_pipeline)
+
+        filters = ("blur", "invert", "sharpen_more")
+        planes = make_test_planes(24, 16, seed=11)
+        expected = planes
+        for name in filters:
+            expected = apply_lifted_photoshop(lift_photoshop_filter(name), name,
+                                              expected)
+        for channel, plane in planes.items():
+            self._assert_chain(lifted_pipeline("photoshop", filters, channel),
+                               fused, plane, expected[channel])
+
     @pytest.mark.parametrize("fused", [False, True])
     def test_irfanview_fig8_chain_every_engine(self, fused):
         """The fig 8 IrfanView chain: sharpen and blur read same-named
         coefficient Params with different defaults."""
         from repro.apps.images import make_test_planes
-        from repro.rejuvenation import lift_irfanview_filter
-        from repro.rejuvenation.lifted import IV_PADDED_FILTERS
+        from repro.rejuvenation import (apply_lifted_irfanview,
+                                        lift_irfanview_filter, lifted_pipeline)
 
-        pipeline = FuncPipeline()
-        for name in ("sharpen", "solarize", "blur"):
-            lifted = lift_irfanview_filter(name)
-            kernel = lifted.kernels[0]
-            pad = 1 if name in IV_PADDED_FILTERS else 0
-            pipeline.add(lifted.funcs[kernel.output],
-                         input_name=kernel.input_names[0], pad=pad,
-                         pad_width=((pad, pad), (pad, pad), (0, 0)),
-                         name=name)
+        filters = ("sharpen", "solarize", "blur")
         planes = make_test_planes(24, 16, seed=12)
         image = np.stack([planes["r"], planes["g"], planes["b"]], axis=-1)
-        oracle = pipeline.realize_interp(image)
-        chain = pipeline.fused() if fused else pipeline
-        for engine in ENGINES:
-            np.testing.assert_array_equal(chain.realize(image, engine=engine),
-                                          oracle, err_msg=f"engine={engine}")
+        expected = image
+        for name in filters:
+            expected = apply_lifted_irfanview(lift_irfanview_filter(name), name,
+                                              expected)
+        self._assert_chain(lifted_pipeline("irfanview", filters), fused,
+                           image, expected)
 
     def test_minigmg_smooth(self):
         from repro.rejuvenation import apply_lifted_minigmg, lift_minigmg_smooth

@@ -113,6 +113,23 @@ class TestLookupTables:
             np.testing.assert_array_equal(produced[channel], expected[channel])
 
 
+class TestRequestPadding:
+    @pytest.mark.parametrize("name, pad", [("solarize", 0), ("blur", 1)])
+    def test_irfanview_request_pads_only_a_halo(self, planes, name, pad):
+        """A filter that reads no halo binds the caller's image itself."""
+        from repro.rejuvenation.lifted import irfanview_kernel_request
+
+        image = np.stack([planes["r"], planes["g"], planes["b"]], axis=-1)
+        request = irfanview_kernel_request(lift_irfanview_filter(name), name,
+                                           image)
+        for buffer in request["buffers"].values():
+            if pad:
+                np.testing.assert_array_equal(
+                    buffer, np.pad(image, ((1, 1), (1, 1), (0, 0)), mode="edge"))
+            else:
+                assert buffer is image
+
+
 class TestLegacyModels:
     @pytest.mark.parametrize("name", ["invert", "blur", "threshold", "box_blur", "brightness"])
     def test_legacy_model_is_semantically_correct(self, planes, name):
