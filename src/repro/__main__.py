@@ -10,9 +10,10 @@ Subcommands::
     python -m repro cache stats|list|clear    # inspect the artifact store
     python -m repro cache tuning --show       # list persisted tuning records
 
-``lift`` prints the per-stage provenance (store hit vs computed, seconds,
-instrumented runs) so the effect of the artifact store is visible: the second
-invocation of the same scenario reports eight hits and zero runs.
+``lift`` prints the per-stage provenance (store hit, computed, or pending
+because nothing read it; seconds; instrumented runs) so the effect of the
+artifact store is visible: the second invocation of the same scenario loads
+the ``codegen`` and ``buffers`` artifacts alone and makes zero runs.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ def cmd_lift(args) -> int:
           f"({len(result.kernels)} kernel(s))")
     _print_table(["stage", "source", "seconds", "runs", "key"],
                  [report.as_row() for report in session.explain()])
-    from .core.stages import STAGES
-
     stats = session.stats()
-    print(f"store hits: {stats['hits']}/{len(STAGES)}, instrumented runs: "
-          f"{stats['instrumented_runs']}")
+    bytes_read = session.store.stats()["bytes_read"] if session.store else 0
+    print(f"stages: {stats['hits']} loaded, {stats['computed']} computed, "
+          f"{stats['pending']} not read ({bytes_read} bytes read); "
+          f"instrumented runs: {stats['instrumented_runs']}")
     for warning in result.warnings:
         print(f"warning: {warning}")
     if args.validate:

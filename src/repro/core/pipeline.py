@@ -15,7 +15,8 @@ drives them, skipping any stage already in the artifact store, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,14 +29,38 @@ from .forward import ForwardAnalysis
 from .localization import LocalizationResult
 from .stages import TraceRunSnapshot
 
+#: The fields a store-backed lift reads on first use: field -> (the stage
+#: whose artifact holds it, how to read it from that artifact).
+DEFERRED_FIELDS = {
+    "localization": ("localize", lambda artifact: artifact),
+    "trace": ("trace", attrgetter("trace")),
+    "trace_run": ("trace", attrgetter("run")),
+    "forward": ("forward", attrgetter("forward")),
+    "concrete_trees": ("trees", attrgetter("concrete")),
+    "warnings": ("trees", lambda artifact: list(artifact.warnings)),
+}
+
 
 @dataclass
 class LiftResult:
     """Everything Helium produced for one filter.
 
+    What applying the lifted kernels needs (``kernels``, ``funcs``,
+    ``halide_sources``, ``buffer_specs``) is always set.  The fields of
+    :data:`DEFERRED_FIELDS` (``localization``, ``trace``, ``trace_run``,
+    ``forward``, ``concrete_trees``, ``warnings``) are set too when the
+    session that built the result held their artifacts, as on every cold
+    lift.  On a warm lift each loads on first read instead, through
+    :meth:`~repro.core.session.LiftSession.artifact`, which holds the
+    session's lock: once, however many threads read it, and a lost or
+    corrupt blob is recomputed like any other miss, so every field equals
+    the cold lift's.  ``app_params`` are the lifted app's parameters, the
+    values its trace ran with.
+
     Serializes through :mod:`repro.store` — the executable ``funcs`` are
     rebuilt from the kernels on deserialization rather than persisted, so a
-    loaded result always carries pristine schedules.
+    loaded result always carries pristine schedules.  Pickling reads every
+    deferred field and never the session.
     """
 
     app_name: str
@@ -50,13 +75,59 @@ class LiftResult:
     halide_sources: dict[str, str]
     trace_run: TraceRunSnapshot
     warnings: list[str] = field(default_factory=list)
+    app_params: dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_session(cls, session) -> "LiftResult":
+        """The result of ``session``'s lift, reading only what it must.
+
+        Loads (or computes) the ``codegen`` and ``buffers`` artifacts; each
+        deferred field is set from an artifact the session already holds,
+        and otherwise left to load on first read.
+        """
+        codegen = session.artifact("codegen")
+        state = {
+            "app_name": session.app.name,
+            "filter_name": session.filter_name,
+            "buffer_specs": session.artifact("buffers").specs,
+            "kernels": codegen.kernels,
+            "halide_sources": dict(codegen.halide_sources),
+            "app_params": dict(getattr(session.app, "params", {})),
+        }
+        for name, (stage, read) in DEFERRED_FIELDS.items():
+            artifact = session.loaded(stage)
+            if artifact is not None:
+                state[name] = read(artifact)
+        result = cls.__new__(cls)
+        result.__setstate__(state)
+        if not DEFERRED_FIELDS.keys() <= state.keys():
+            result.__dict__["_session"] = session
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance: on a warm
+        # result, the deferred fields nothing has read yet.  The session is
+        # dropped once every field is set.
+        session = self.__dict__.get("_session")
+        if session is not None and name in DEFERRED_FIELDS:
+            stage = DEFERRED_FIELDS[name][0]
+            artifact = session.artifact(stage)
+            for other, (other_stage, read) in DEFERRED_FIELDS.items():
+                if other_stage == stage:
+                    self.__dict__.setdefault(other, read(artifact))
+            if DEFERRED_FIELDS.keys() <= self.__dict__.keys():
+                self.__dict__.pop("_session", None)
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}") from None
 
     # -- serialization -------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("funcs", None)
-        return state
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "funcs"}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)

@@ -1,21 +1,27 @@
 """Store-backed lift sessions: resume, provenance and per-stage statistics.
 
 A :class:`LiftSession` drives the stage chain of :mod:`repro.core.stages`
-for one (app, filter, seed) scenario.  Before computing a stage it consults
-an :class:`~repro.store.ArtifactStore` under the stage's content-addressed
-key; afterwards it persists the artifact.  Because every stage is covered,
-the session resumes from the deepest cached prefix automatically — a fully
-warm lift deserializes eight artifacts and performs **zero instrumented
-program runs**, and a store holding only the expensive early stages (the
-traces) still skips every program run while recomputing the cheap analyses.
+for one (app, filter, seed) scenario.  Asked for a stage's artifact, it
+tries the :class:`~repro.store.ArtifactStore` under that stage's
+content-addressed key first; only on a miss does it resolve the stages the
+computation reads (each the same way) and compute it, persisting the
+result.  So the session resumes from the deepest cached stage automatically,
+and reads nothing it does not need: a fully warm :meth:`LiftSession.run`
+deserializes two small artifacts (``codegen``, which carries the kernels,
+and ``buffers``) and performs **zero instrumented program runs**.  The
+traces, profiles and concrete trees load through the session when a
+:class:`~repro.core.pipeline.LiftResult` field that holds them is first
+read; a store holding only the expensive early stages (the traces) still
+skips every program run while recomputing the cheap analyses.
 
 ``explain()`` returns the full provenance: per stage, the key digest, where
-the artifact came from (store hit vs computed), how long it took, and how
-many instrumented runs it cost.
+the artifact came from (store hit, computed, or still pending because
+nothing read it), how long it took, and how many instrumented runs it cost.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 from dataclasses import dataclass
@@ -23,7 +29,6 @@ from typing import Callable, Optional
 
 from ..apps.base import Application, app_run_count
 from ..store import ArtifactKey, ArtifactStore, default_store, stage_key
-from .codegen import generate_funcs
 from .stages import (
     STAGE_VERSIONS,
     STAGES,
@@ -73,25 +78,9 @@ class LiftSession:
             if use_store else None
         self._artifacts: dict[str, object] = {}
         self._reports: dict[str, StageReport] = {}
-        self._computers: dict[str, Callable[[], object]] = {
-            "coverage": lambda: run_coverage_stage(
-                self.app, self.filter_name, self.seed),
-            "screen": lambda: run_screen_stage(
-                self.app, self.filter_name, self.artifact("coverage"), self.seed),
-            "localize": lambda: run_localize_stage(
-                self.app, self.artifact("coverage"), self.artifact("screen")),
-            "trace": lambda: run_trace_stage(
-                self.app, self.filter_name, self.artifact("localize"), self.seed),
-            "forward": lambda: run_forward_stage(
-                self.app, self.filter_name, self.artifact("trace")),
-            "buffers": lambda: run_buffers_stage(
-                self.app, self.filter_name, self.artifact("trace"),
-                self.artifact("forward")),
-            "trees": lambda: run_trees_stage(
-                self.artifact("trace"), self.artifact("forward"),
-                self.artifact("buffers"), self.seed),
-            "codegen": lambda: run_codegen_stage(self.artifact("trees")),
-        }
+        # Held while a stage loads or computes, so threads reading one
+        # result's deferred fields load each stage once.
+        self._lock = threading.RLock()
 
     # -- keys ----------------------------------------------------------------
 
@@ -105,42 +94,49 @@ class LiftSession:
     def artifact(self, stage: str, refresh: bool = False) -> object:
         """The artifact of ``stage``, loading or computing it on demand.
 
-        ``refresh=True`` recomputes this stage even when the store holds it
-        (the recomputed artifact is persisted, repairing a stale entry after
-        a version bump went unnoticed in a long-lived process).
+        The store is tried first; the stages this one is computed from are
+        resolved only on a miss.  ``refresh=True`` recomputes this stage
+        even when the store holds it (the recomputed artifact is persisted,
+        repairing a stale entry after a version bump went unnoticed in a
+        long-lived process).
         """
-        if stage not in self._computers:
+        if stage not in _COMPUTE:
             raise KeyError(f"unknown stage {stage!r} (expected one of {STAGES})")
-        if not refresh and stage in self._artifacts:
-            return self._artifacts[stage]
-        # Resolve upstream stages first, each under its own report, so this
-        # stage's timing window and run counter never swallow a dependency's
-        # work (artifact("codegen") on a cold session would otherwise charge
-        # the whole pipeline to codegen).
-        for upstream in STAGES[:STAGES.index(stage)]:
-            if upstream not in self._artifacts:
-                self.artifact(upstream)
-        key = self.key_for(stage) if self.store is not None else None
-        start = time.perf_counter()
-        runs_before = app_run_count()
-        artifact = None
-        source = "computed"
-        if key is not None and not refresh:
-            artifact = self.store.get(key)
-            if artifact is not None:
-                source = "hit"
-        if artifact is None:
-            artifact = self._computers[stage]()
-            if key is not None:
-                self.store.put(key, artifact)
-        self._artifacts[stage] = artifact
-        self._reports[stage] = StageReport(
-            stage=stage, source=source,
-            seconds=time.perf_counter() - start,
-            instrumented_runs=app_run_count() - runs_before,
-            key=key,
-            path=str(self.store.blob_path(key)) if key is not None else None)
-        return artifact
+        with self._lock:
+            if not refresh and stage in self._artifacts:
+                return self._artifacts[stage]
+            key = self.key_for(stage) if self.store is not None else None
+            start = time.perf_counter()
+            artifact = None
+            if key is not None and not refresh:
+                artifact = self.store.get(key)
+            seconds = time.perf_counter() - start
+            source, runs = "hit", 0
+            if artifact is None:
+                # Each input resolves under its own report, so this stage's
+                # timing window and run counter never swallow a dependency's
+                # work (artifact("codegen") on a cold session would otherwise
+                # charge the whole pipeline to codegen).
+                inputs, compute = _COMPUTE[stage]
+                arguments = [self.artifact(name) for name in inputs]
+                start = time.perf_counter()
+                runs_before = app_run_count()
+                artifact = compute(self, *arguments)
+                if key is not None:
+                    self.store.put(key, artifact)
+                seconds += time.perf_counter() - start
+                source, runs = "computed", app_run_count() - runs_before
+            self._artifacts[stage] = artifact
+            self._reports[stage] = StageReport(
+                stage=stage, source=source, seconds=seconds,
+                instrumented_runs=runs, key=key,
+                path=str(self.store.blob_path(key)) if key is not None
+                else None)
+            return artifact
+
+    def loaded(self, stage: str) -> object | None:
+        """The artifact of ``stage`` if this session already holds it."""
+        return self._artifacts.get(stage)
 
     def resume_from(self, stage: str) -> None:
         """Force recomputation of ``stage`` and everything after it.
@@ -159,29 +155,15 @@ class LiftSession:
     # -- whole lift ------------------------------------------------------------
 
     def run(self) -> "LiftResult":
-        """Run (or resume) every stage and assemble the :class:`LiftResult`."""
+        """Run (or resume) the lift and assemble the :class:`LiftResult`.
+
+        Reads the ``codegen`` and ``buffers`` artifacts, computing whatever
+        the store lacks; the result loads its other fields through this
+        session when they are first read.
+        """
         from .pipeline import LiftResult
 
-        for stage in STAGES:
-            self.artifact(stage)
-        trace_artifact = self._artifacts["trace"]
-        tree_artifact = self._artifacts["trees"]
-        buffer_artifact = self._artifacts["buffers"]
-        funcs = {kernel.output: generate_funcs(kernel)
-                 for kernel in tree_artifact.kernels}
-        return LiftResult(
-            app_name=self.app.name,
-            filter_name=self.filter_name,
-            localization=self._artifacts["localize"],
-            trace=trace_artifact.trace,
-            forward=self._artifacts["forward"].forward,
-            buffer_specs=buffer_artifact.specs,
-            concrete_trees=tree_artifact.concrete,
-            kernels=tree_artifact.kernels,
-            funcs=funcs,
-            halide_sources=dict(self._artifacts["codegen"].halide_sources),
-            trace_run=trace_artifact.run,
-            warnings=list(tree_artifact.warnings))
+        return LiftResult.from_session(self)
 
     # -- provenance ------------------------------------------------------------
 
@@ -192,17 +174,40 @@ class LiftSession:
 
     def stats(self) -> dict:
         """Aggregate session statistics (timings, hits/misses, program runs)."""
-        reports = [r for r in self._reports.values()]
+        with self._lock:
+            reports = list(self._reports.values())
         return {
             "stages_run": len(reports),
             "hits": sum(1 for r in reports if r.source == "hit"),
             "computed": sum(1 for r in reports if r.source == "computed"),
+            "pending": len(STAGES) - len(reports),
             "seconds": sum(r.seconds for r in reports),
             "instrumented_runs": sum(r.instrumented_runs for r in reports),
             "stage_seconds": {r.stage: r.seconds
                               for stage in STAGES
                               for r in [self._reports.get(stage)] if r},
         }
+
+
+#: Per stage: the stages its computation reads, and the computation, called
+#: with the session and their artifacts in that order.
+_COMPUTE: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "coverage": ((), lambda s: run_coverage_stage(
+        s.app, s.filter_name, s.seed)),
+    "screen": (("coverage",), lambda s, coverage: run_screen_stage(
+        s.app, s.filter_name, coverage, s.seed)),
+    "localize": (("coverage", "screen"), lambda s, coverage, screen:
+                 run_localize_stage(s.app, coverage, screen)),
+    "trace": (("localize",), lambda s, localization: run_trace_stage(
+        s.app, s.filter_name, localization, s.seed)),
+    "forward": (("trace",), lambda s, trace: run_forward_stage(
+        s.app, s.filter_name, trace)),
+    "buffers": (("trace", "forward"), lambda s, trace, forward:
+                run_buffers_stage(s.app, s.filter_name, trace, forward)),
+    "trees": (("trace", "forward", "buffers"), lambda s, trace, forward,
+              buffers: run_trees_stage(trace, forward, buffers, s.seed)),
+    "codegen": (("trees",), lambda s, trees: run_codegen_stage(trees)),
+}
 
 
 def lift_scenario(app_name: str, filter_name: str, seed: int | None = None,

@@ -16,12 +16,16 @@ trace       detailed instruction trace + memory dump    1
 forward     region reconstruction + taint analysis      0 (pure)
 buffers     buffer naming + dimensionality inference    0 (pure)
 trees       concrete trees -> clustered symbolic trees  0 (pure)
-codegen     symbolic trees -> Halide C++ source text    0 (pure)
+codegen     kernels + their Halide C++ source text      0 (pure)
 ==========  =========================================  ==================
 
 :class:`~repro.core.session.LiftSession` drives the chain and handles the
 store lookups (``use_store=False`` for an always-cold lift, which is what
-:func:`~repro.core.pipeline.lift_filter` runs without a store).
+:func:`~repro.core.pipeline.lift_filter` runs without a store).  Since
+codegen v2 its artifact carries the lifted kernels as well as their source,
+so applying a warm lift needs only the ``codegen`` and ``buffers``
+artifacts, a few KB; the traces, profiles and concrete trees stay in the
+store until a caller reads them.
 
 Bump a stage's entry in :data:`STAGE_VERSIONS` whenever its output format or
 semantics change; the version participates in every downstream artifact key.
@@ -76,7 +80,7 @@ STAGE_VERSIONS = {
     "forward": 1,
     "buffers": 1,
     "trees": 2,       # v2: recursive coordinate clusters lift as reductions
-    "codegen": 1,
+    "codegen": 2,     # v2: carries the kernels, so a warm lift skips trees
 }
 
 #: Instrumented app runs each stage performs (the paper's five-run workflow;
@@ -163,8 +167,10 @@ class TreeArtifact:
 
 @dataclass
 class CodegenArtifact:
-    """Stage 8: printable Halide C++ per output buffer.
+    """Stage 8: printable Halide C++ per output buffer, and the kernels.
 
+    The kernels are the trees artifact's (a few KB of its hundreds), kept
+    here so a warm lift reads this artifact and the buffers' alone.
     Executable :class:`~repro.halide.func.Func` objects are deliberately not
     persisted — they are rebuilt from the kernels on every load
     (:func:`repro.core.codegen.generate_funcs` is cheap and pure), so cached
@@ -172,6 +178,7 @@ class CodegenArtifact:
     """
 
     halide_sources: dict[str, str]
+    kernels: list[LiftedKernel]
 
 
 # ---------------------------------------------------------------------------
@@ -347,4 +354,4 @@ def run_codegen_stage(tree_artifact: TreeArtifact) -> CodegenArtifact:
     """Pure: emit the printable Halide C++ for every lifted kernel."""
     return CodegenArtifact(halide_sources={
         kernel.output: generate_halide_cpp(kernel)
-        for kernel in tree_artifact.kernels})
+        for kernel in tree_artifact.kernels}, kernels=tree_artifact.kernels)

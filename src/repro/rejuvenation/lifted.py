@@ -237,9 +237,20 @@ def apply_lifted_photoshop(result: LiftResult, filter_name: str,
 
     The lifted kernels reference one input buffer per colour plane; the same
     symbolic function is applied to each plane (threshold's kernels reference
-    all three planes and produce one value per plane).
+    all three planes and produce one value per plane).  They also bake in
+    the parameter values the lift traced, so ``params`` may only repeat
+    those (``result.app_params``); any other value raises ``ValueError``.
     """
-    params = params or {}
+    for name, value in (params or {}).items():
+        if name not in result.app_params:
+            raise ValueError(f"the lift of {result.app_name}/"
+                             f"{result.filter_name} traced no parameter "
+                             f"{name!r}")
+        if value != result.app_params[name]:
+            raise ValueError(f"the lift of {result.app_name}/"
+                             f"{result.filter_name} traced {name}="
+                             f"{result.app_params[name]}, not {name}={value}; "
+                             "lift an app built with that value")
     outputs: dict[str, np.ndarray] = {}
     kernels = sorted(result.kernels, key=lambda k: k.output)
     for kernel, channel in zip(kernels, ("r", "g", "b")):

@@ -1,5 +1,10 @@
 """LiftSession behaviour: warm lifts, resume, provenance and determinism."""
 
+import dataclasses
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,12 +13,17 @@ from repro.apps.registry import get_scenario
 from repro.core import lift_filter
 from repro.core.session import LiftSession
 from repro.core.stages import STAGES
-from repro.store import ArtifactStore, dumps_artifact
+from repro.store import ArtifactStore, dumps_artifact, loads_artifact
 
 
 def make_session(store, filter_name="invert", seed=0):
     scenario = get_scenario("photoshop", filter_name)
     return LiftSession(scenario.make_app(), filter_name, seed=seed, store=store)
+
+
+def blob_sizes(store, session, stages):
+    return sum(store.blob_path(session.key_for(stage)).stat().st_size
+               for stage in stages)
 
 
 class TestWarmPath:
@@ -24,12 +34,19 @@ class TestWarmPath:
         cold_result = cold.run()
         assert app_run_count() - runs_before == 4  # the instrumented workflow
 
-        warm = make_session(store)
+        warm_store = ArtifactStore(tmp_path)
+        warm = make_session(warm_store)
         runs_before = app_run_count()
         warm_result = warm.run()
         assert app_run_count() - runs_before == 0
-        assert warm.stats()["hits"] == len(STAGES)
-        assert all(r.source == "hit" for r in warm.explain())
+        stats = warm.stats()
+        assert stats["computed"] == 0 and stats["instrumented_runs"] == 0
+        loaded = {r.stage for r in warm.explain() if r.source == "hit"}
+        assert loaded == {"buffers", "codegen"}
+        assert {r.source for r in warm.explain()
+                if r.stage not in loaded} == {"pending"}
+        assert warm_store.stats()["bytes_read"] == \
+            blob_sizes(store, warm, loaded)
 
         assert warm_result.halide_sources == cold_result.halide_sources
         for name, produced in warm_result.realize_outputs().items():
@@ -52,6 +69,188 @@ class TestWarmPath:
         result = lift_filter(scenario.make_app(), "invert", store=store)
         assert app_run_count() - runs_before == 0
         assert all(result.validate().values())
+
+
+def assert_same(a, b, path="result"):
+    """Structural equality: dataclass fields, containers and arrays, and the
+    attributes of plain objects (a ``DynamicCFG`` compares by identity)."""
+    assert type(a) is type(b), path
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name),
+                        f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b, err_msg=path)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for k in a:
+            assert_same(a[k], b[k], f"{path}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for index, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{path}[{index}]")
+    elif type(a).__eq__ is object.__eq__ and hasattr(a, "__dict__"):
+        assert_same(vars(a), vars(b), path)
+    else:
+        assert a == b, path
+
+
+DEFERRED = ("localization", "trace", "trace_run", "forward",
+            "concrete_trees", "warnings")
+
+
+@pytest.fixture(scope="module")
+def brightness_store(tmp_path_factory):
+    """A store holding one cold photoshop/brightness lift, and that lift."""
+    store = ArtifactStore(tmp_path_factory.mktemp("store"))
+    return store, make_session(store, "brightness").run()
+
+
+class TestDeferredFields:
+    """A warm result reads its traces and trees from the store on first use
+    and then equals the cold result."""
+
+    def test_fields_equal_the_cold_lift(self, brightness_store):
+        store, cold = brightness_store
+        session = make_session(ArtifactStore(store.root), "brightness")
+        runs_before = app_run_count()
+        warm = session.run()
+        assert not any(name in vars(warm) for name in DEFERRED)
+        for name in DEFERRED:
+            assert_same(getattr(warm, name), getattr(cold, name), name)
+        assert warm.statistics() == cold.statistics()
+        assert warm.validate() == cold.validate()
+        assert all(warm.validate().values())
+        assert app_run_count() - runs_before == 0
+        sources = {r.stage: r.source for r in session.explain()}
+        assert sources == {"coverage": "pending", "screen": "pending",
+                           "localize": "hit", "trace": "hit",
+                           "forward": "hit", "buffers": "hit",
+                           "trees": "hit", "codegen": "hit"}
+        assert "_session" not in vars(warm)   # every field read
+
+    def test_concurrent_first_reads_load_the_trace_once(self,
+                                                        brightness_store):
+        from repro.rejuvenation.lifted import (kernel_inputs,
+                                               photoshop_kernel_request)
+
+        store, _ = brightness_store
+        stages_read = []
+
+        class CountingStore(ArtifactStore):
+            def get(self, key):
+                stages_read.append(key.stage)
+                return super().get(key)
+
+        warm = make_session(CountingStore(store.root), "brightness").run()
+        assert sorted(stages_read) == ["buffers", "codegen"]
+        planes = {c: np.full((48, 64), 7, dtype=np.uint8) for c in "rgb"}
+        kernel = sorted(warm.kernels, key=lambda k: k.output)[0]
+        barrier = threading.Barrier(8)
+        requests = []
+
+        def request():
+            barrier.wait()
+            requests.append(photoshop_kernel_request(
+                warm, "brightness", kernel, "r", planes))
+
+        threads = [threading.Thread(target=request) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(requests) == 8
+        assert stages_read.count("trace") == 1
+        names, images = kernel_inputs(warm, kernel)
+        tables = [name for name in names if name not in images]
+        assert tables
+        for name in tables:
+            assert all(r["buffers"][name] is requests[0]["buffers"][name]
+                       for r in requests)
+
+    @pytest.mark.parametrize("damage", ["deleted", "corrupted"])
+    def test_lost_trace_blob_is_recomputed_on_first_read(self, tmp_path,
+                                                         damage):
+        store = ArtifactStore(tmp_path)
+        make_session(store, "brightness").run()
+        session = make_session(ArtifactStore(tmp_path), "brightness")
+        warm = session.run()
+        blob = store.blob_path(session.key_for("trace"))
+        if damage == "deleted":
+            blob.unlink()
+        else:
+            blob.write_bytes(b"not an artifact")
+        runs_before = app_run_count()
+        assert warm.trace_run.memory is not None
+        assert app_run_count() - runs_before == 1     # the trace run alone
+        sources = {r.stage: r.source for r in session.explain()}
+        assert sources["trace"] == "computed"
+        assert sources["localize"] == "hit"
+        assert session.store.stats()["quarantined"] == \
+            (1 if damage == "corrupted" else 0)
+        assert all(warm.validate().values())
+        assert blob.exists()                          # the store is repaired
+
+    def test_pickles_every_field_and_no_session(self, brightness_store):
+        store, cold = brightness_store
+        warm = make_session(ArtifactStore(store.root), "brightness").run()
+        assert not any(name in vars(warm) for name in DEFERRED)
+        blob = dumps_artifact(warm)
+        for name in (b"LiftSession", b"ArtifactStore", b"_session"):
+            assert name not in blob
+        loaded = loads_artifact(blob)
+        assert "_session" not in vars(loaded)
+        for f in dataclasses.fields(loaded):
+            assert f.name in vars(loaded), f.name
+        for name in DEFERRED + ("buffer_specs", "kernels", "halide_sources",
+                                "app_params"):
+            assert_same(getattr(loaded, name), getattr(cold, name), name)
+        assert all(loaded.validate().values())
+
+    def test_dropping_a_warm_result_needs_no_collection(self,
+                                                        brightness_store):
+        from repro.rejuvenation import lifted
+
+        store, _ = brightness_store
+        gc.collect()
+        gc.disable()
+        try:
+            warm = make_session(ArtifactStore(store.root), "brightness").run()
+            lifted.kernel_inputs(warm, warm.kernels[0])
+            warm.trace_run                  # the session stays: trees unread
+            assert "_session" in vars(warm)
+            facts_key = id(warm)
+            assert facts_key in lifted._FACTS
+            del warm
+            assert facts_key not in lifted._FACTS
+        finally:
+            gc.enable()
+
+    def test_store_without_codegen_computes_it_from_trees(self, tmp_path):
+        # A store written before codegen v2 holds no codegen entry under
+        # today's keys: the lift rebuilds it from the stored trees.
+        store = ArtifactStore(tmp_path)
+        cold_session = make_session(store, "brightness")
+        cold = cold_session.run()
+        for path in (tmp_path / "codegen").iterdir():
+            path.unlink()
+        session = make_session(ArtifactStore(tmp_path), "brightness")
+        runs_before = app_run_count()
+        warm = session.run()
+        assert app_run_count() - runs_before == 0
+        sources = {r.stage: r.source for r in session.explain()}
+        assert sources["codegen"] == "computed"
+        assert sources["trees"] == "hit" and sources["buffers"] == "hit"
+        assert sources["trace"] == "pending"
+        assert "concrete_trees" in vars(warm)   # set from the held trees
+        assert warm.halide_sources == cold.halide_sources
+        assert store.contains(cold_session.key_for("codegen"))
 
 
 class TestResume:
@@ -80,7 +279,10 @@ class TestResume:
         session.run()
         session.resume_from("forward")
         sources = {r.stage: r.source for r in session.explain()}
-        assert sources["coverage"] == "hit"
+        # forward reads the stored trace; nothing reads what the trace
+        # was computed from.
+        assert sources["trace"] == "hit"
+        assert sources["coverage"] == "pending"
         for stage in STAGES[STAGES.index("forward"):]:
             assert sources[stage] == "computed"
 

@@ -75,6 +75,40 @@ class TestLiftedOnLargerImages:
                                    rtol=1e-12, atol=1e-12)
 
 
+class TestTracedParams:
+    """The lifted kernels bake in the parameter values the lift traced."""
+
+    @pytest.mark.parametrize("name, params", [("threshold", {"threshold": 200}),
+                                              ("brightness", {"brightness": 90})])
+    def test_untraced_value_is_refused(self, name, params):
+        small = make_test_planes(64, 48, seed=3)
+        lifted = lift_photoshop_filter(name)
+        assert lifted.app_params == PARAMS
+        with pytest.raises(ValueError, match=next(iter(params))):
+            apply_lifted_photoshop(lifted, name, small, params)
+        if name == "threshold":           # fully lifted: runs in situ too
+            with pytest.raises(ValueError, match="threshold"):
+                insitu_lifted_photoshop(lifted, name, small, params)
+
+    def test_unknown_param_is_refused(self):
+        small = make_test_planes(64, 48, seed=3)
+        with pytest.raises(ValueError, match="gamma"):
+            apply_lifted_photoshop(lift_photoshop_filter("invert"), "invert",
+                                   small, {"gamma": 2})
+
+    @pytest.mark.parametrize("name", ["threshold", "brightness", "blur"])
+    def test_traced_values_and_none_agree(self, name):
+        small = make_test_planes(64, 48, seed=3)
+        lifted = lift_photoshop_filter(name)
+        with_params = apply_lifted_photoshop(lifted, name, small, PARAMS)
+        without = apply_lifted_photoshop(lifted, name, small)
+        expected = photoshop_reference(name, small, PARAMS)
+        for channel in ("r", "g", "b"):
+            np.testing.assert_array_equal(with_params[channel],
+                                          expected[channel])
+            np.testing.assert_array_equal(without[channel], expected[channel])
+
+
 class TestLookupTables:
     def test_table_is_read_once_and_shared_read_only(self, planes,
                                                     monkeypatch):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.core.stages import STAGES
 
 
 @pytest.fixture()
@@ -27,18 +28,30 @@ class TestLiftCommand:
     def test_cold_then_warm(self, store_env, capsys):
         assert main(["lift", "photoshop", "invert", "--validate"]) == 0
         out = capsys.readouterr().out
-        assert "store hits: 0/8, instrumented runs: 4" in out
+        assert "stages: 0 loaded, 8 computed, 0 not read" in out
+        assert "instrumented runs: 4" in out
         assert "output_1=ok" in out
 
         assert main(["lift", "photoshop", "invert", "--validate"]) == 0
         out = capsys.readouterr().out
-        assert "store hits: 8/8, instrumented runs: 0" in out
+        # The warm lift reads the codegen and buffers blobs and nothing
+        # else; validation then reads the trace.
+        blobs = sum(path.stat().st_size for stage in ("buffers", "codegen")
+                    for path in (store_env / stage).glob("*.pkl"))
+        assert (f"stages: 2 loaded, 0 computed, 6 not read "
+                f"({blobs} bytes read); instrumented runs: 0") in out
+        rows = {line.split()[0]: line.split()[1] for line in out.splitlines()
+                if line.split()[:1] and line.split()[0] in STAGES}
+        assert rows == {stage: "hit" if stage in ("buffers", "codegen")
+                        else "pending" for stage in STAGES}
+        assert "output_1=ok" in out
 
     def test_no_store_stays_cold(self, store_env, capsys):
         assert main(["lift", "photoshop", "invert", "--no-store"]) == 0
         assert main(["lift", "photoshop", "invert", "--no-store"]) == 0
         out = capsys.readouterr().out
-        assert "store hits: 0/8, instrumented runs: 4" in out
+        assert "stages: 0 loaded, 8 computed, 0 not read (0 bytes read); " \
+            "instrumented runs: 4" in out
 
     def test_cpp_prints_halide_source(self, store_env, capsys):
         assert main(["lift", "photoshop", "invert", "--cpp"]) == 0
